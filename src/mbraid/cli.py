@@ -29,8 +29,8 @@ from .plane import (UnsupportedDeformation, build_plane_system,
                     projector_consistency, pure_sector_consistency)
 from .pmatrix import ParamMatrix, flip21, inverse
 from .rtt import SpanMismatch, rtt_residual, solve_family
-from .scalars import (ONE, QuadExt, UnknownSymbolError, limit_u0, substitute,
-                      sym)
+from .scalars import (ONE, DivisionByZero, QuadExt, UnknownSymbolError,
+                      limit_u0, substitute, sym)
 
 NONCOMMUTING = ("a", "b", "c", "d", "x", "y", "xi", "eta")
 COMMUTING = ("K", "p", "q", "g", "h")
@@ -507,7 +507,7 @@ def _do_scan(args) -> int:
 def _do_plane(args) -> int:
     try:
         expr = parse_expression(args.expr)
-    except (SyntaxError, UnknownSymbol) as exc:
+    except (SyntaxError, UnknownSymbol, DivisionByZero) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     bad = sorted({letter for word in expr.coeffs for letter in word
@@ -519,7 +519,7 @@ def _do_plane(args) -> int:
         system = build_plane_system(args.deformation, args.K).rules
     except UnsupportedDeformation:
         system = build_pure_system(args.deformation)
-    except (DegenerateX, TypeError) as exc:
+    except (DegenerateX, DivisionByZero, TypeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     nf = normal_order(expr, system)

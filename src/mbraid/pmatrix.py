@@ -101,11 +101,6 @@ class ParamMatrix:
     def map(self, fn) -> "ParamMatrix":
         return ParamMatrix(self.rows, self.cols, [fn(e) for e in self.data])
 
-    def transpose(self) -> "ParamMatrix":
-        return ParamMatrix(self.cols, self.rows,
-                           [self.data[i * self.cols + j]
-                            for j in range(self.cols) for i in range(self.rows)])
-
     def __str__(self) -> str:
         cells = [[str(self.data[i * self.cols + j]) for j in range(self.cols)]
                  for i in range(self.rows)]
@@ -137,19 +132,16 @@ def kron(a: ParamMatrix, b: ParamMatrix) -> ParamMatrix:
     return ParamMatrix(a.rows * b.rows, a.cols * b.cols, out)
 
 
-def _swap_conjugate(m: ParamMatrix) -> ParamMatrix:
-    """P.m.P for the 4x4 factor-swap P, done by index shuffling so the entry
+def flip21(m: ParamMatrix) -> ParamMatrix:
+    """Conjugation by the tensor-factor swap: flip21(x y) = flip21(x) flip21(y).
+
+    P.m.P for the 4x4 factor-swap P, done by index shuffling so the entry
     field never needs explicit 0/1 constants."""
     if (m.rows, m.cols) != (4, 4):
         raise DimensionMismatch("factor swap is defined for 4x4 matrices")
     perm = (0, 2, 1, 3)
     data = [m[perm[i], perm[j]] for i in range(4) for j in range(4)]
     return ParamMatrix(4, 4, data)
-
-
-def flip21(m: ParamMatrix) -> ParamMatrix:
-    """Conjugation by the tensor-factor swap: flip21(x y) = flip21(x) flip21(y)."""
-    return _swap_conjugate(m)
 
 
 def embed12(r: ParamMatrix, one=None) -> ParamMatrix:

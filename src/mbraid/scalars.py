@@ -1,12 +1,17 @@
 """Exact scalar arithmetic over the fixed symbol alphabet (K, p, q, g, h, u).
 
 A polynomial is a dict mapping a monomial (exponent tuple aligned with
-SYMBOLS) to a nonzero Fraction coefficient.  A RatFunc is a pair of such
+SYMBOLS) to a nonzero rational coefficient.  A RatFunc is a pair of such
 polynomials kept in a weak normal form:
 
   * common pure-monomial factors of numerator and denominator are cancelled,
-  * coefficients are scaled to integers with overall content 1,
+  * coefficients are plain ints with overall content 1,
   * the denominator's graded-lex leading coefficient is positive.
+
+So every normalized coefficient is an int, and arithmetic on normalized
+values never touches Fraction.  A Poly built outside RatFunc may still hold
+Fraction coefficients (``Poly.const(Fraction(1, 2))``); normalization clears
+their denominators.
 
 Multivariate gcd cancellation is deliberately not attempted, so two equal
 values may have different representations; equality always goes through
@@ -17,6 +22,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import add, sub
 from typing import Mapping, Union
 
 SYMBOLS = ("K", "p", "q", "g", "h", "u")
@@ -56,6 +62,8 @@ class Poly:
     @staticmethod
     def const(c) -> "Poly":
         c = Fraction(c)
+        if c.denominator == 1:
+            c = c.numerator
         return Poly({_MONO_ONE: c} if c else {})
 
     @staticmethod
@@ -63,7 +71,7 @@ class Poly:
         if name not in _SYM_INDEX:
             raise UnknownSymbolError(f"unknown symbol {name!r}; alphabet is {SYMBOLS}")
         mono = tuple(1 if i == _SYM_INDEX[name] else 0 for i in range(_NVARS))
-        return Poly({mono: Fraction(1)})
+        return Poly({mono: 1})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -95,18 +103,13 @@ class Poly:
         out: dict = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                mono = tuple(a + b for a, b in zip(m1, m2))
+                mono = tuple(map(add, m1, m2))
                 s = out.get(mono, 0) + c1 * c2
                 if s:
                     out[mono] = s
                 else:
                     del out[mono]
         return Poly(out)
-
-    def scale(self, c: Fraction) -> "Poly":
-        if not c:
-            return Poly({})
-        return Poly({mono: coeff * c for mono, coeff in self.terms.items()})
 
     def degree(self) -> int:
         """Total degree, or -1 for the zero polynomial."""
@@ -180,30 +183,39 @@ def _mono_str(mono: Monomial) -> str:
 
 
 _POLY_ZERO = Poly({})
-_POLY_ONE = Poly({_MONO_ONE: Fraction(1)})
+_POLY_ONE = Poly({_MONO_ONE: 1})
 
 
 def _normalized(num: Poly, den: Poly):
-    if den.is_zero():
+    """(num, den) in weak normal form with int coefficients.  Already-normal
+    inputs are returned as they are."""
+    nt, dt = num.terms, den.terms
+    if not dt:
         raise DivisionByZero("zero denominator")
-    if num.is_zero():
+    if not nt:
         return _POLY_ZERO, _POLY_ONE
-    monos = list(num.terms) + list(den.terms)
-    shift = tuple(min(m[i] for m in monos) for i in range(_NVARS))
-    if any(shift):
-        num = Poly({tuple(e - s for e, s in zip(m, shift)): c for m, c in num.terms.items()})
-        den = Poly({tuple(e - s for e, s in zip(m, shift)): c for m, c in den.terms.items()})
-    coeffs = list(num.terms.values()) + list(den.terms.values())
-    mult = lcm(*(c.denominator for c in coeffs))
-    content = gcd(*(int(c * mult) for c in coeffs))
-    scale = Fraction(mult, content)
+    if _MONO_ONE not in dt and _MONO_ONE not in nt:
+        shift = tuple(map(min, *nt, *dt))
+        if any(shift):
+            nt = {tuple(map(sub, m, shift)): c for m, c in nt.items()}
+            dt = {tuple(map(sub, m, shift)): c for m, c in dt.items()}
+            num, den = Poly(nt), Poly(dt)
+    try:
+        content = gcd(*nt.values(), *dt.values())
+    except TypeError:
+        # Fraction coefficients: clear their denominators, then go on in int
+        mult = lcm(*[c.denominator for c in (*nt.values(), *dt.values())])
+        nt = {m: int(c * mult) for m, c in nt.items()}
+        dt = {m: int(c * mult) for m, c in dt.items()}
+        num, den = Poly(nt), Poly(dt)
+        content = gcd(*nt.values(), *dt.values())
     _, lead = den.leading()
     if lead < 0:
-        scale = -scale
-    if scale != 1:
-        num = num.scale(scale)
-        den = den.scale(scale)
-    return num, den
+        content = -content
+    if content == 1:
+        return num, den
+    return (Poly({m: c // content for m, c in nt.items()}),
+            Poly({m: c // content for m, c in dt.items()}))
 
 
 class RatFunc:
@@ -221,7 +233,7 @@ class RatFunc:
         return self.num.symbols() | self.den.symbols()
 
     def __eq__(self, other) -> bool:
-        o = _as_ratfunc(other)
+        o = as_ratfunc(other)
         if o is None:
             return NotImplemented
         if self.num == o.num and self.den == o.den:
@@ -231,9 +243,13 @@ class RatFunc:
     __hash__ = None
 
     def __add__(self, other):
-        o = _as_ratfunc(other)
+        o = as_ratfunc(other)
         if o is None:
             return NotImplemented
+        if not o.num.terms:
+            return self
+        if not self.num.terms:
+            return o
         if self.den.terms == o.den.terms:
             return RatFunc(self.num + o.num, self.den)
         return RatFunc(self.num * o.den + o.num * self.den, self.den * o.den)
@@ -241,15 +257,19 @@ class RatFunc:
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = _as_ratfunc(other)
+        o = as_ratfunc(other)
         if o is None:
             return NotImplemented
+        if not o.num.terms:
+            return self
+        if not self.num.terms:
+            return -o
         if self.den.terms == o.den.terms:
             return RatFunc(self.num - o.num, self.den)
         return RatFunc(self.num * o.den - o.num * self.den, self.den * o.den)
 
     def __rsub__(self, other):
-        o = _as_ratfunc(other)
+        o = as_ratfunc(other)
         if o is None:
             return NotImplemented
         return o - self
@@ -258,15 +278,19 @@ class RatFunc:
         return RatFunc(-self.num, self.den)
 
     def __mul__(self, other):
-        o = _as_ratfunc(other)
+        o = as_ratfunc(other)
         if o is None:
             return NotImplemented
+        if not self.num.terms:
+            return self
+        if not o.num.terms:
+            return o
         return RatFunc(self.num * o.num, self.den * o.den)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = _as_ratfunc(other)
+        o = as_ratfunc(other)
         if o is None:
             return NotImplemented
         if o.num.is_zero():
@@ -274,7 +298,7 @@ class RatFunc:
         return RatFunc(self.num * o.den, self.den * o.num)
 
     def __rtruediv__(self, other):
-        o = _as_ratfunc(other)
+        o = as_ratfunc(other)
         if o is None:
             return NotImplemented
         return o / self
@@ -320,9 +344,6 @@ def as_ratfunc(x):
     return None
 
 
-_as_ratfunc = as_ratfunc
-
-
 _SYM_CACHE: dict = {}
 
 
@@ -351,7 +372,7 @@ def substitute(x: RatFunc, bindings: Mapping[str, Scalar]) -> RatFunc:
     for name, v in bindings.items():
         if name not in _SYM_INDEX:
             raise UnknownSymbolError(f"unknown symbol {name!r}; alphabet is {SYMBOLS}")
-        vals[name] = _as_ratfunc(v)
+        vals[name] = as_ratfunc(v)
     for name, v in vals.items():
         clash = v.symbols() & set(vals)
         if clash:
@@ -423,8 +444,8 @@ class QuadExt:
     __slots__ = ("a", "b", "rho")
 
     def __init__(self, a: Scalar, b: Scalar, rho: RatFunc):
-        self.a = _as_ratfunc(a)
-        self.b = _as_ratfunc(b)
+        self.a = as_ratfunc(a)
+        self.b = as_ratfunc(b)
         self.rho = rho
 
     @staticmethod
@@ -440,7 +461,7 @@ class QuadExt:
             if not (self.rho == other.rho):
                 raise ValueError("mixed quadratic extensions")
             return other
-        o = _as_ratfunc(other)
+        o = as_ratfunc(other)
         return None if o is None else QuadExt(o, 0, self.rho)
 
     def is_zero(self) -> bool:

@@ -181,6 +181,21 @@ def test_main_plane_usage_errors(capsys):
     capsys.readouterr()
 
 
+def test_main_plane_division_by_zero_in_expression(capsys):
+    assert main(["plane", "--expr", "x/0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
+def test_main_plane_system_pole_at_coupling(capsys):
+    # the gh plane rules divide by 1 - X, which vanishes at K = 1/2
+    assert main(["plane", "--deformation", "gh", "--K", "1/2", "--expr", "x*xi"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
 def test_main_scan_missing_binding(tmp_path, capsys):
     code = main(["scan", "--deformation", "pq", "--p", "2",
                  "--kmin", "0", "--kmax", "1", "--steps", "3",
