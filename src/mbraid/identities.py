@@ -5,12 +5,14 @@ The family satisfies the braid relation only up to a defect:
     B(K) = Rhat12 Rhat23 Rhat12 - Rhat23 Rhat12 Rhat23
          = lam(K) (Rhat12 - Rhat23),      lam = (K/K1 - 1)(K/K2 - 1)
 
-so every entry of B(K) is divisible by (K - K1)(K - K2), the defect vanishes
-exactly at K = K1 and K = K2, and shifting by a root mu of mu^2 - X mu + lam
-restores the genuine braid relation (the shift enters through the Hecke
-identity, which turns the defect coefficient into mu^2 - X mu + lam).
-mbe_r_form carries the same statement over to R = P.Rhat using permutation
-operators.
+so every entry of B(K) is divisible by (K - K1)(K - K2) and the defect
+vanishes exactly at K = K1 and K = K2.  For the shifted family
+S = Rhat - mu I the Hecke identity turns the defect coefficient into
+mu^2 - X mu + lam = (mu - 1 + K/K1)(mu - 1 + K/K2), since
+X^2 - 4 lam = (K/K1 - K/K2)^2.  Both roots mu = 1 - K/Ki are rational, and
+S(1 - K/Ki) = (K/Ki) Rhat(Ki) satisfies the genuine braid relation
+(Jones' baxterization).  mbe_r_form carries the defect equation over to
+R = P.Rhat using permutation operators.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 
 from .catalog import build_r, build_rhat, deformation, hecke_X
 from .pmatrix import ParamMatrix, embed12, embed23, perm_operator
-from .scalars import ONE, QuadExt, RatFunc, poly_divmod_in, sym
+from .scalars import RatFunc, poly_divmod_in, sym
 
 
 class DegenerateValues(ArithmeticError):
@@ -33,21 +35,23 @@ def mbe_factor(d, k=None) -> RatFunc:
     return (k / spec.K1 - 1) * (k / spec.K2 - 1)
 
 
+def _braid_defect(m: ParamMatrix) -> ParamMatrix:
+    """m12 m23 m12 - m23 m12 m23 for a 4x4 matrix m, an 8x8 matrix."""
+    m12 = embed12(m)
+    m23 = embed23(m)
+    return m12 @ m23 @ m12 - m23 @ m12 @ m23
+
+
 def braid_residual(d, k=None) -> ParamMatrix:
     """B(K) on the triple tensor product, an 8x8 matrix."""
-    rhat = build_rhat(d, k)
-    r12 = embed12(rhat)
-    r23 = embed23(rhat)
-    return r12 @ r23 @ r12 - r23 @ r12 @ r23
+    return _braid_defect(build_rhat(d, k))
 
 
 def mbe_residual(d, k=None) -> ParamMatrix:
     """B(K) - lam(K) (Rhat12 - Rhat23); identically zero for the catalog."""
     rhat = build_rhat(d, k)
-    r12 = embed12(rhat)
-    r23 = embed23(rhat)
     lam = mbe_factor(d, k)
-    return r12 @ r23 @ r12 - r23 @ r12 @ r23 - (r12 - r23).scale(lam)
+    return _braid_defect(rhat) - (embed12(rhat) - embed23(rhat)).scale(lam)
 
 
 @dataclass(frozen=True)
@@ -100,38 +104,23 @@ def braid_divisibility(d) -> bool:
     return True
 
 
-def s_shift_check(d, mode: str = "symbolic") -> bool:
-    """Shifted family S = Rhat - mu I.
-
-    mode="symbolic": with mu a free symbol,
+def s_shift_check(d) -> bool:
+    """Shifted family S = Rhat - mu I.  With mu a free symbol,
         S12 S23 S12 - S23 S12 S23 = (mu^2 - X mu + lam)(S12 - S23),
-    which follows from the defect equation plus Hecke and reduces to it at
-    mu = 0.
-    mode="root": with mu = (X + s)/2 in the extension s^2 = X^2 - 4 lam the
-    coefficient vanishes, so the genuine braid relation holds exactly.
+    which follows from the defect equation plus Hecke.  The coefficient is
+    (mu - 1 + K/K1)(mu - 1 + K/K2) exactly, and at its two rational roots
+    mu = 1 - K/K1 and mu = 1 - K/K2 the genuine braid relation holds.
     """
     spec = deformation(d)
-    lam = mbe_factor(spec)
-    x = hecke_X(spec)
-    if mode == "symbolic":
-        mu = sym("u")  # u is unused by every catalog family, so it is free here
-        rhat = build_rhat(spec)
-        s = rhat - ParamMatrix.identity(4).scale(mu)
-        s12 = embed12(s)
-        s23 = embed23(s)
-        lhs = s12 @ s23 @ s12 - s23 @ s12 @ s23
-        rhs = (s12 - s23).scale(mu * mu - x * mu + lam)
-        return (lhs - rhs).is_zero()
-    if mode == "root":
-        rho = x * x - 4 * lam
-        one = QuadExt.of(1, rho)
-        mu = (QuadExt.of(x, rho) + QuadExt.root(rho)) / QuadExt.of(2, rho)
-        rhat = build_rhat(spec).map(lambda e: QuadExt.of(e, rho))
-        s = rhat - ParamMatrix.identity(4, one).scale(mu)
-        s12 = embed12(s, one)
-        s23 = embed23(s, one)
-        return (s12 @ s23 @ s12 - s23 @ s12 @ s23).is_zero()
-    raise ValueError(f"unknown mode {mode!r}")
+    ident = ParamMatrix.identity(4)
+    rhat = build_rhat(spec)
+    mu = sym("u")  # u is unused by every catalog family, so it is free here
+    coeff = mu * mu - hecke_X(spec) * mu + mbe_factor(spec)
+    s = rhat - ident.scale(mu)
+    shifted = _braid_defect(s) - (embed12(s) - embed23(s)).scale(coeff)
+    roots = [1 - sym("K") / spec.K1, 1 - sym("K") / spec.K2]
+    return (shifted.is_zero() and coeff == (mu - roots[0]) * (mu - roots[1])
+            and all(_braid_defect(rhat - ident.scale(root)).is_zero() for root in roots))
 
 
 def affine_decomposition(d, k=None):

@@ -158,36 +158,29 @@ class RewriteSystem:
         self.alphabet = alphabet
         self.step_cap = step_cap
         self.by_lhs = {}
-        rank = {letter: i for i, letter in enumerate(alphabet)}
+        letters = set(alphabet)
         for rule in rules:
-            if not rule.lhs:
-                raise ValueError("empty rule lhs")
-            for letter in rule.lhs:
-                if letter not in rank:
-                    raise ValueError(f"{letter!r} not in alphabet of {name}")
+            if len(rule.lhs) != 2:
+                raise ValueError(f"rule lhs {rule.lhs} is not a pair of letters")
+            if not letters.issuperset(rule.lhs):
+                raise ValueError(f"lhs {rule.lhs} not in alphabet of {name}")
             if rule.lhs in self.by_lhs:
                 raise ValueError(f"duplicate rule for {rule.lhs}")
-            for w, _ in rule.rhs.coeffs.items():
-                if len(w) > len(rule.lhs):
+            for w in rule.rhs.coeffs:
+                if len(w) > 2:
                     raise ValueError(f"rule {rule.lhs} raises degree")
                 if w == rule.lhs:
                     raise ValueError(f"rule {rule.lhs} maps to itself")
-                if any(letter not in rank for letter in w):
+                if not letters.issuperset(w):
                     raise ValueError(f"rhs of {rule.lhs} leaves the alphabet")
-                if _contains(w, rule.lhs):
-                    raise ValueError(f"rhs of {rule.lhs} contains its own lhs")
             self.by_lhs[rule.lhs] = rule
-        self.lhs_lengths = sorted({len(l) for l in self.by_lhs}, reverse=True) or [2]
 
     def find_redex(self, word: Word):
         """Leftmost redex: (position, rule) or None."""
-        n = len(word)
-        for i in range(n):
-            for L in self.lhs_lengths:
-                if i + L <= n:
-                    rule = self.by_lhs.get(word[i:i + L])
-                    if rule is not None:
-                        return i, rule
+        for i in range(len(word) - 1):
+            rule = self.by_lhs.get(word[i:i + 2])
+            if rule is not None:
+                return i, rule
         return None
 
 
@@ -208,15 +201,9 @@ def normal_order(p: NCPoly, system: RewriteSystem) -> NCPoly:
         if steps > system.step_cap:
             raise StepCapExceeded(f"{system.name}: more than {system.step_cap} rewrite steps")
         i, rule = hit
-        L = len(rule.lhs)
         for rword, rcoef in rule.rhs.coeffs.items():
-            agenda.append((word[:i] + rword + word[i + L:], coeff * rcoef))
+            agenda.append((word[:i] + rword + word[i + 2:], coeff * rcoef))
     return NCPoly(out)
-
-
-def _contains(haystack: Word, needle: Word) -> bool:
-    n, m = len(haystack), len(needle)
-    return any(haystack[i:i + m] == needle for i in range(n - m + 1))
 
 
 def diamond_check(system: RewriteSystem, max_degree: int) -> list:
@@ -226,30 +213,18 @@ def diamond_check(system: RewriteSystem, max_degree: int) -> list:
     for degree in range(2, max_degree + 1):
         for letters in product(system.alphabet, repeat=degree):
             word = tuple(letters)
-            redexes = _all_redexes(system, word)
+            redexes = [(i, rule) for i in range(degree - 1)
+                       if (rule := system.by_lhs.get(word[i:i + 2])) is not None]
             if len(redexes) < 2:
                 continue
             forms = []
             for i, rule in redexes:
-                L = len(rule.lhs)
-                stepped = NCPoly({word[:i] + rw + word[i + L:]: rc
+                stepped = NCPoly({word[:i] + rw + word[i + 2:]: rc
                                   for rw, rc in rule.rhs.coeffs.items()})
                 forms.append(normal_order(stepped, system))
             if any(f != forms[0] for f in forms[1:]):
                 violations.append(word)
     return violations
-
-
-def _all_redexes(system: RewriteSystem, word: Word) -> list:
-    out = []
-    n = len(word)
-    for i in range(n):
-        for L in system.lhs_lengths:
-            if i + L <= n:
-                rule = system.by_lhs.get(word[i:i + L])
-                if rule is not None:
-                    out.append((i, rule))
-    return out
 
 
 def change_of_basis(p: NCPoly, mapping: dict) -> NCPoly:

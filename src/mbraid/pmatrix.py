@@ -1,12 +1,14 @@
-"""Dense matrices over an exact field.
+"""Dense matrices over an exact commutative ring, usually the field RatFunc.
 
-Entries are duck-typed: anything with the field operators and is_zero()
-works, so the same code runs over RatFunc and over QuadExt.  Data is a flat
-row-major list and instances are treated as immutable.
+Entries are duck-typed: anything with the ring operators, inverse() and
+is_zero() works, so the same code runs over RatFunc and over QuadExt, the
+ring that serves only the factorization matrix M.  Data is a flat row-major
+list and instances are treated as immutable.
 
 Elimination (inverse, rank, nullspace) is plain Gauss-Jordan with the first
-nonzero entry as pivot, scanning top to bottom; division is exact in the
-entry field, and the fixed pivot rule keeps every result deterministic.
+nonzero entry as pivot, scanning top to bottom; division is exact, and the
+fixed pivot rule keeps every result deterministic.  Over a ring with zero
+divisors a nonzero pivot may have no inverse: QuadExt then raises ZeroDivisor.
 """
 
 from __future__ import annotations
@@ -114,14 +116,6 @@ class ParamMatrix:
         return f"ParamMatrix({self.rows}x{self.cols})"
 
 
-def one_like(m: ParamMatrix):
-    """The field's 1, recovered from any nonzero entry."""
-    for e in m.data:
-        if not e.is_zero():
-            return e / e
-    raise ValueError("cannot infer field constants from a zero matrix")
-
-
 def kron(a: ParamMatrix, b: ParamMatrix) -> ParamMatrix:
     out = []
     for i in range(a.rows):
@@ -144,18 +138,14 @@ def flip21(m: ParamMatrix) -> ParamMatrix:
     return ParamMatrix(4, 4, data)
 
 
-def embed12(r: ParamMatrix, one=None) -> ParamMatrix:
+def embed12(r: ParamMatrix) -> ParamMatrix:
     """r acting on factors 1,2 of a triple tensor product: r (x) I."""
-    if one is None:
-        one = one_like(r)
-    return kron(r, ParamMatrix.identity(2, one))
+    return kron(r, ParamMatrix.identity(2))
 
 
-def embed23(r: ParamMatrix, one=None) -> ParamMatrix:
+def embed23(r: ParamMatrix) -> ParamMatrix:
     """r acting on factors 2,3: I (x) r."""
-    if one is None:
-        one = one_like(r)
-    return kron(ParamMatrix.identity(2, one), r)
+    return kron(ParamMatrix.identity(2), r)
 
 
 @dataclass(frozen=True)
@@ -183,8 +173,7 @@ def perm_operator(sigma, dim: int = 2) -> ParamMatrix:
     PermOperator(sig)
     n = len(sig)
     size = dim ** n
-    zero = ZERO
-    data = [zero] * (size * size)
+    data = [ZERO] * (size * size)
     for row in range(size):
         digits = _digits(row, dim, n)
         col_digits = [digits[sig[t] - 1] for t in range(n)]
@@ -240,16 +229,15 @@ def rank(m: ParamMatrix) -> int:
     return len(pivots)
 
 
-def nullspace(m: ParamMatrix, one=ONE) -> list:
+def nullspace(m: ParamMatrix) -> list:
     """Basis of the right nullspace, one vector (a plain list) per free column.
     The fixed pivot rule makes the basis deterministic."""
     work, pivots = _rref(m)
-    zero = one - one
     free = [c for c in range(m.cols) if c not in pivots]
     basis = []
     for f in free:
-        v = [zero] * m.cols
-        v[f] = one
+        v = [ZERO] * m.cols
+        v[f] = ONE
         for i, pc in enumerate(pivots):
             v[pc] = -work[i][f]
         basis.append(v)
@@ -259,12 +247,12 @@ def nullspace(m: ParamMatrix, one=ONE) -> list:
 def inverse(m: ParamMatrix) -> ParamMatrix:
     if m.rows != m.cols:
         raise DimensionMismatch("inverse of a non-square matrix")
-    one = one_like(m)
-    zero = one - one
+    pivot = next((e for e in m.data if not e.is_zero()), None)
+    if pivot is None:
+        raise Singular("the zero matrix is not invertible")
     n = m.rows
-    aug = ParamMatrix(n, 2 * n,
-                      [m[i, j] if j < n else (one if j - n == i else zero)
-                       for i in range(n) for j in range(2 * n)])
+    ident = ParamMatrix.identity(n, pivot / pivot)  # over the entries' ring
+    aug = ParamMatrix(n, 2 * n, [e for i in range(n) for e in m.row(i) + ident.row(i)])
     work, pivots = _rref(aug)
     if pivots != list(range(n)):
         raise Singular("matrix is not invertible")

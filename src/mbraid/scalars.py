@@ -39,6 +39,10 @@ class DivisionByZero(ZeroDivisionError):
     """Division by a value that is identically zero."""
 
 
+class ZeroDivisor(DivisionByZero):
+    """Inverse of a nonzero zero divisor, such as a QuadExt of norm zero."""
+
+
 class PoleAtZero(ArithmeticError):
     """A u -> 0 limit was taken where the denominator vanishes at u = 0."""
 
@@ -439,7 +443,11 @@ def poly_divmod_in(f: Poly, g: Poly, name: str):
 
 
 class QuadExt:
-    """Element a + b*s of the quadratic extension with s^2 = rho."""
+    """Element a + b*s of the ring RatFunc[s]/(s^2 - rho), used only for M.
+
+    A field only when rho is not a square: for rho = r^2, (s - r)(s + r) = 0,
+    and rho = 0 gives the dual numbers.  Norm-zero elements have no inverse.
+    """
 
     __slots__ = ("a", "b", "rho")
 
@@ -513,7 +521,9 @@ class QuadExt:
     def inverse(self) -> "QuadExt":
         n = self.a * self.a - self.rho * self.b * self.b
         if n.is_zero():
-            raise DivisionByZero("non-invertible quadratic extension element")
+            if self.is_zero():
+                raise DivisionByZero("inverse of zero")
+            raise ZeroDivisor(f"{self} has norm zero and is a zero divisor")
         return QuadExt(self.a / n, -self.b / n, self.rho)
 
     def __truediv__(self, other):

@@ -159,7 +159,6 @@ def test_criterion_11_affine_shift_baxterization():
         affine_decomposition("gh")
     for d in DEFORMATIONS:
         assert s_shift_check(d), d
-        assert s_shift_check(d, "root"), d
         assert baxterization_check(d), d
 
 

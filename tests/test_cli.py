@@ -54,6 +54,33 @@ def test_parse_rejects_unknown_symbols_and_bad_powers():
         parse_expression("x^(1/2)")
 
 
+def test_parse_rejects_exponent_above_bound():
+    assert parse_expression("x^1000") == NCPoly.from_word(("x",) * 1000)
+    with pytest.raises(SyntaxError) as err:
+        parse_expression("x^1001")
+    assert err.value.offset == 2
+
+
+def test_parse_rejects_product_above_term_bound():
+    assert len(parse_expression("(x+y)^13").coeffs) == 8192
+    with pytest.raises(SyntaxError) as err:
+        parse_expression("(x+y)^14")
+    assert err.value.offset == 6
+    with pytest.raises(SyntaxError) as err:
+        parse_expression("(x+y)^7*(x+y)^7")
+    assert err.value.offset == 7
+    # numerator and denominator monomials are bounded apart, so the canonical
+    # rendering of a 165-term over a 120-term coefficient still re-parses
+    big = NCPoly.gen("x").scale((K + P + sym("q") + 1) ** 8 / (K + sym("g") + sym("h") + 1) ** 7)
+    assert parse_expression(str(big)) == big
+
+
+def test_parse_rejects_word_above_length_bound():
+    with pytest.raises(SyntaxError) as err:
+        parse_expression("(x^1000)^1000")
+    assert err.value.offset == 9
+
+
 def test_parse_division_is_scalar_only():
     assert parse_expression("x/2") == NCPoly.gen("x").scale(Fraction(1, 2))
     assert parse_expression("(K)/(K*p - 1)*x") == NCPoly.gen("x").scale(
@@ -116,6 +143,13 @@ def test_scan_validates_inputs(tmp_path):
     with pytest.raises(ValueError):
         run_scan("pq", {"p": Fraction(2), "q": Fraction(3)}, 0, 2, 1,
                  str(tmp_path / "x.csv"))
+
+
+def test_scan_rejects_steps_above_bound(tmp_path):
+    out = tmp_path / "x.csv"
+    with pytest.raises(ValueError):
+        run_scan("pq", {"p": Fraction(2), "q": Fraction(3)}, 0, 2, 100_001, str(out))
+    assert not out.exists()
 
 
 def test_verify_all_checks_pass():
@@ -202,3 +236,10 @@ def test_main_scan_missing_binding(tmp_path, capsys):
                  "--csv", str(tmp_path / "x.csv")])
     assert code == 2
     assert "q" in capsys.readouterr().err
+
+
+def test_main_plane_step_cap_is_a_usage_error(capsys):
+    assert main(["plane", "--deformation", "gh", "--K", "1", "--expr", "y^12*x^12"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "rewrite steps" in captured.err

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+import mbraid.identities as identities
 from mbraid.catalog import build_rhat, deformation
 from mbraid.identities import (
     DegenerateValues,
@@ -67,10 +68,14 @@ def test_braid_entries_divisible_by_degeneracy_quadratic():
 
 def test_s_shift_symbolic_and_root():
     for did in DEFORMATIONS:
-        assert s_shift_check(did, "symbolic"), did
-        assert s_shift_check(did, "root"), did
-    with pytest.raises(ValueError):
-        s_shift_check("pq", "other")
+        assert s_shift_check(did), did
+
+
+def test_s_shift_rejects_a_planted_defect_factor(monkeypatch):
+    real = identities.mbe_factor
+    monkeypatch.setattr(identities, "mbe_factor", lambda d, k=None: real(d, k) + 1)
+    for did in DEFORMATIONS:
+        assert not s_shift_check(did), did
 
 
 def test_affine_decomposition():

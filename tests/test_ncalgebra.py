@@ -122,6 +122,9 @@ def test_rule_validation():
         RewriteSystem("bad", ("a", "b"), [
             RewriteRule(("b", "a"), NCPoly.from_word(("a", "b"))),
             RewriteRule(("b", "a"), NCPoly.from_word(("a", "a")))])
+    with pytest.raises(ValueError):
+        RewriteSystem("bad", ("a", "b"), [
+            RewriteRule(("b", "a", "a"), NCPoly.from_word(("a", "b")))])
 
 
 def test_change_of_basis_round_trip():

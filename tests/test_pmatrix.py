@@ -16,7 +16,7 @@ from mbraid.pmatrix import (
     perm_operator,
     rank,
 )
-from mbraid.scalars import ONE, ZERO, QuadExt, const, sym
+from mbraid.scalars import ONE, ZERO, QuadExt, ZeroDivisor, const, sym
 
 K = sym("K")
 P = sym("p")
@@ -130,6 +130,16 @@ def test_inverse_over_quadratic_extension():
     m = ParamMatrix.from_rows([[s, one], [zero, s]])
     mi = inverse(m)
     assert m @ mi == ParamMatrix.identity(2, one)
+
+
+def test_inverse_over_split_ring_names_the_zero_divisor():
+    # rho = K^2 splits the ring: s - K is nonzero but (s - K)(s + K) = 0
+    rho = K * K
+    s = QuadExt.root(rho)
+    one = QuadExt.of(1, rho)
+    zero = QuadExt.of(0, rho)
+    with pytest.raises(ZeroDivisor):
+        inverse(ParamMatrix.from_rows([[s - K, zero], [zero, one]]))
 
 
 def test_rank_and_nullspace():

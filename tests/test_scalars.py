@@ -12,6 +12,7 @@ from mbraid.scalars import (
     QuadExt,
     RatFunc,
     UnknownSymbolError,
+    ZeroDivisor,
     const,
     limit_u0,
     poly_divmod_in,
@@ -160,6 +161,18 @@ def test_quadext_arithmetic():
         QuadExt.of(0, rho).inverse()
     with pytest.raises(ValueError):
         s + QuadExt.root(K)
+
+
+def test_quadext_zero_divisors_of_split_and_dual_rings():
+    split = QuadExt(-K, 1, K * K)
+    dual = QuadExt.root(ZERO)
+    for x in (split, dual):
+        assert not x.is_zero()
+        with pytest.raises(ZeroDivisor):
+            x.inverse()
+    with pytest.raises(DivisionByZero) as err:
+        QuadExt.of(0, K * K).inverse()
+    assert type(err.value) is DivisionByZero
 
 
 def test_quadext_mixed_scalar_ops():
