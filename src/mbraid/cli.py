@@ -30,8 +30,8 @@ from .plane import (UnsupportedDeformation, build_plane_system,
                     projector_consistency, pure_sector_consistency)
 from .pmatrix import ParamMatrix, flip21, inverse
 from .rtt import SpanMismatch, rtt_residual, solve_family
-from .scalars import (ONE, DivisionByZero, QuadExt, UnknownSymbolError,
-                      limit_u0, substitute, sym)
+from .scalars import (ONE, SYMBOLS, ZERO, DivisionByZero, Poly, QuadExt,
+                      UnknownSymbolError, limit_u0, substitute, sym)
 
 NONCOMMUTING = ("a", "b", "c", "d", "x", "y", "xi", "eta")
 COMMUTING = ("K", "p", "q", "g", "h")
@@ -209,28 +209,48 @@ def parse_expression(text: str) -> NCPoly:
 def run_scan(d, bindings, kmin, kmax, steps: int, out: str) -> list:
     """Frobenius norm of the braid defect on an even grid of couplings.
 
-    The grid and every matrix entry stay exact rationals; the square root
-    and the CSV text are the only floating-point steps.
+    The bindings go into the symbolic braid_residual, and its squared entries
+    are summed once into F(K), an exact polynomial in K.  The grid and F at
+    each grid point stay exact rationals; the square root and the CSV text
+    are the only floating-point steps.
     """
     if not 2 <= steps <= MAX_SCAN_STEPS:
         raise ValueError(f"steps must be between 2 and {MAX_SCAN_STEPS}")
     spec = deformation(d)
     bound = [substitute(e, dict(bindings)) for e in braid_residual(spec).data]
-    bound = [e for e in bound if not e.is_zero()]
+    f = sum((e * e for e in bound), ZERO)
+    free = [name for name in SYMBOLS if name != "K" and name in f.symbols()]
+    if free:
+        raise UnknownSymbolError(f"no value bound for {free[0]!r}")
+    num, den = _k_coeffs(f.num), _k_coeffs(f.den)
     kmin, kmax = Fraction(kmin), Fraction(kmax)
     rows = []
     for i in range(steps):
         kval = kmin + (kmax - kmin) * i / (steps - 1)
-        total = Fraction(0)
-        for e in bound:
-            v = e.eval({"K": kval})
-            total += v * v
-        rows.append((kval, math.sqrt(total)))
+        rows.append((kval, math.sqrt(_horner(num, kval) / _horner(den, kval))))
     with open(out, "w") as fh:
         fh.write("K,residual_fro\n")
         for kval, fro in rows:
             fh.write(f"{float(kval):.17g},{fro:.17g}\n")
     return rows
+
+
+def _k_coeffs(p: Poly) -> list:
+    """Coefficients of a polynomial in K alone, highest power first."""
+    coeffs = [0] * (p.degree() + 1)
+    for mono, c in p.terms.items():
+        coeffs[-1 - mono[SYMBOLS.index("K")]] = c
+    return coeffs
+
+
+def _horner(coeffs: list, k: Fraction) -> Fraction:
+    """The polynomial at k = a/b, by Horner in integers on b^n p(a/b)."""
+    a, b = k.numerator, k.denominator
+    out, bpow = 0, 1
+    for c in coeffs:
+        out = out * a + c * bpow
+        bpow *= b
+    return Fraction(out * b, bpow)
 
 
 # -- verification registry ----------------------------------------------
@@ -527,7 +547,7 @@ def _do_scan(args) -> int:
     try:
         rows = run_scan(args.deformation, bindings, args.kmin, args.kmax,
                         args.steps, args.csv)
-    except (ValueError, UnknownSymbolError) as exc:
+    except (ValueError, UnknownSymbolError, DivisionByZero) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     detail = f"{len(rows)} rows -> {args.csv}"

@@ -6,9 +6,12 @@ The family satisfies the braid relation only up to a defect:
          = lam(K) (Rhat12 - Rhat23),      lam = (K/K1 - 1)(K/K2 - 1)
 
 so every entry of B(K) is divisible by (K - K1)(K - K2) and the defect
-vanishes exactly at K = K1 and K = K2.  For the shifted family
-S = Rhat - mu I the Hecke identity turns the defect coefficient into
-mu^2 - X mu + lam = (mu - 1 + K/K1)(mu - 1 + K/K2), since
+vanishes at K = K1 and K = K2.  Its only other zero is K = 0: Rhat is
+affine in K with Rhat(0) = I, so Rhat12 - Rhat23 is K times a nonzero
+K-free matrix.
+
+For the shifted family S = Rhat - mu I the Hecke identity turns the defect
+coefficient into mu^2 - X mu + lam = (mu - 1 + K/K1)(mu - 1 + K/K2), since
 X^2 - 4 lam = (K/K1 - K/K2)^2.  Both roots mu = 1 - K/Ki are rational, and
 S(1 - K/Ki) = (K/Ki) Rhat(Ki) satisfies the genuine braid relation
 (Jones' baxterization).  mbe_r_form carries the defect equation over to
@@ -109,7 +112,8 @@ def s_shift_check(d) -> bool:
         S12 S23 S12 - S23 S12 S23 = (mu^2 - X mu + lam)(S12 - S23),
     which follows from the defect equation plus Hecke.  The coefficient is
     (mu - 1 + K/K1)(mu - 1 + K/K2) exactly, and at its two rational roots
-    mu = 1 - K/K1 and mu = 1 - K/K2 the genuine braid relation holds.
+    mu = 1 - K/K1 and mu = 1 - K/K2 the genuine braid relation holds; a
+    double root (K1 = K2) is checked once.
     """
     spec = deformation(d)
     ident = ParamMatrix.identity(4)
@@ -118,8 +122,9 @@ def s_shift_check(d) -> bool:
     coeff = mu * mu - hecke_X(spec) * mu + mbe_factor(spec)
     s = rhat - ident.scale(mu)
     shifted = _braid_defect(s) - (embed12(s) - embed23(s)).scale(coeff)
-    roots = [1 - sym("K") / spec.K1, 1 - sym("K") / spec.K2]
-    return (shifted.is_zero() and coeff == (mu - roots[0]) * (mu - roots[1])
+    r1, r2 = 1 - sym("K") / spec.K1, 1 - sym("K") / spec.K2
+    roots = [r1] if r1 == r2 else [r1, r2]  # K1 = K2 for gh
+    return (shifted.is_zero() and coeff == (mu - r1) * (mu - r2)
             and all(_braid_defect(rhat - ident.scale(root)).is_zero() for root in roots))
 
 

@@ -13,8 +13,6 @@ divisors a nonzero pivot may have no inverse: QuadExt then raises ZeroDivisor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .scalars import ONE, ZERO, RatFunc
 
 
@@ -148,29 +146,17 @@ def embed23(r: ParamMatrix) -> ParamMatrix:
     return kron(ParamMatrix.identity(2), r)
 
 
-@dataclass(frozen=True)
-class PermOperator:
-    """Permutation of tensor factors, one-line notation: sigma[t-1] = sigma(t).
+def perm_operator(sigma, dim: int = 2) -> ParamMatrix:
+    """Matrix of P_sigma, a permutation of tensor factors in one-line notation
+    (sigma[t-1] = sigma(t)), on the n-fold tensor power, basis ordered
+    big-endian (first factor most significant).
 
     Acts by (P_sigma v)_{j_1..j_n} = v_{j_sigma(1)..j_sigma(n)}, which makes
-    perm_operator a homomorphism: P_sigma P_tau = P_{sigma o tau}.
+    it a homomorphism: P_sigma P_tau = P_{sigma o tau}.
     """
-
-    sigma: tuple
-
-    def __post_init__(self):
-        if sorted(self.sigma) != list(range(1, len(self.sigma) + 1)):
-            raise ValueError(f"not a permutation of 1..{len(self.sigma)}: {self.sigma}")
-
-    def compose(self, other: "PermOperator") -> "PermOperator":
-        return PermOperator(tuple(self.sigma[t - 1] for t in other.sigma))
-
-
-def perm_operator(sigma, dim: int = 2) -> ParamMatrix:
-    """Matrix of P_sigma on the n-fold tensor power, basis ordered big-endian
-    (first factor most significant)."""
-    sig = sigma.sigma if isinstance(sigma, PermOperator) else tuple(sigma)
-    PermOperator(sig)
+    sig = tuple(sigma)
+    if sorted(sig) != list(range(1, len(sig) + 1)):
+        raise ValueError(f"not a permutation of 1..{len(sig)}: {sig}")
     n = len(sig)
     size = dim ** n
     data = [ZERO] * (size * size)

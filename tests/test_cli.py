@@ -1,18 +1,20 @@
 import argparse
 import io
 import json
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 import mbraid.cli as cli
-from mbraid.catalog import build_rhat
+from mbraid.catalog import build_rhat, deformation
 from mbraid.cli import (UnknownSymbol, _rational, main, parse_expression,
                         registered_checks, run_scan, run_verify)
+from mbraid.identities import braid_residual
 from mbraid.ncalgebra import NCPoly
 from mbraid.plane import phi_poly
-from mbraid.scalars import DivisionByZero, sym
+from mbraid.scalars import DivisionByZero, UnknownSymbolError, substitute, sym
 
 K = sym("K")
 P = sym("p")
@@ -139,6 +141,47 @@ def test_scan_gh_zero_only_at_unit_coupling(tmp_path):
     assert table[2.0] > 1e-6
 
 
+def _scan_oracle(d, bindings, kvals) -> list:
+    # the per-entry loop: every substituted defect entry evaluated at each K
+    bound = [substitute(e, bindings) for e in braid_residual(d).data]
+    return [(k, math.sqrt(sum((e.eval({"K": k}) ** 2 for e in bound), Fraction(0))))
+            for k in kvals]
+
+
+def _random_rational(rng) -> Fraction:
+    return Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 4))
+
+
+def test_scan_matches_per_entry_oracle(tmp_path):
+    rng = random.Random(23)
+    params = {"pq": ("p", "q"), "gh": ("g", "h"), "qh": ("q", "h")}
+    for d, names in params.items():
+        cases = [{names[0]: Fraction(3, 2), names[1]: Fraction(-7, 3)}]
+        cases += [{n: _random_rational(rng) for n in names} for _ in range(2)]
+        for bindings in cases:
+            spec = deformation(d)
+            k1, k2 = sorted(substitute(ki, bindings).eval({}) for ki in (spec.K1, spec.K2))
+            if k1 == k2:  # gh: K1 = K2 = 1 sits mid-grid
+                kmin, kmax, steps, hits = k1 - 1, k1 + 1, 9, (4,)
+            else:  # K1 and K2 at a third and two thirds of the grid
+                kmin, kmax, steps, hits = 2 * k1 - k2, 2 * k2 - k1, 13, (4, 8)
+            rows = run_scan(d, bindings, kmin, kmax, steps, str(tmp_path / "s.csv"))
+            want = _scan_oracle(d, bindings, [kmin + (kmax - kmin) * i / (steps - 1)
+                                              for i in range(steps)])
+            assert rows == want, (d, bindings)
+            assert {rows[i][0] for i in hits} == {k1, k2}, (d, bindings)
+            assert all(rows[i][1] == 0 for i in hits), (d, bindings)
+            # B(K) = lam(K) (Rhat12 - Rhat23) also vanishes at K = 0, where Rhat = I
+            assert all(fro > 0 for k, fro in rows if k not in (0, k1, k2)), (d, bindings)
+
+
+def test_scan_names_a_missing_binding(tmp_path):
+    out = tmp_path / "x.csv"
+    with pytest.raises(UnknownSymbolError, match="no value bound for 'q'"):
+        run_scan("pq", {"p": Fraction(2)}, 0, 1, 3, str(out))
+    assert not out.exists()
+
+
 def test_scan_validates_inputs(tmp_path):
     with pytest.raises(ValueError):
         run_scan("pq", {"p": Fraction(2), "q": Fraction(3)}, 0, 2, 1,
@@ -236,6 +279,17 @@ def test_main_scan_missing_binding(tmp_path, capsys):
                  "--csv", str(tmp_path / "x.csv")])
     assert code == 2
     assert "q" in capsys.readouterr().err
+
+
+def test_main_scan_pole_in_binding(tmp_path, capsys):
+    # pq entries divide by p
+    code = main(["scan", "--deformation", "pq", "--p", "0", "--q", "3",
+                 "--kmin", "0", "--kmax", "1", "--steps", "3",
+                 "--csv", str(tmp_path / "x.csv")])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
 
 
 def test_main_plane_step_cap_is_a_usage_error(capsys):

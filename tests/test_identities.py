@@ -78,6 +78,17 @@ def test_s_shift_rejects_a_planted_defect_factor(monkeypatch):
         assert not s_shift_check(did), did
 
 
+def test_s_shift_checks_each_distinct_root_once(monkeypatch):
+    # the symbolic shifted identity, then one braid relation per distinct root
+    real = identities._braid_defect
+    calls = []
+    monkeypatch.setattr(identities, "_braid_defect", lambda m: calls.append(1) or real(m))
+    for did, want in (("pq", 3), ("gh", 2), ("qh", 3)):
+        calls.clear()
+        assert s_shift_check(did), did
+        assert len(calls) == want, did
+
+
 def test_affine_decomposition():
     for did in ("pq", "qh"):
         spec = deformation(did)

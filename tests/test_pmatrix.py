@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -5,7 +6,6 @@ import pytest
 from mbraid.pmatrix import (
     DimensionMismatch,
     ParamMatrix,
-    PermOperator,
     Singular,
     embed12,
     embed23,
@@ -90,12 +90,16 @@ def test_perm_operator_composition():
     p13 = perm_operator((3, 2, 1))
     p23 = perm_operator((1, 3, 2))
     assert p12 @ p12 == ParamMatrix.identity(8)
-    cyc = PermOperator((3, 2, 1)).compose(PermOperator((2, 1, 3)))
-    assert cyc.sigma == (2, 3, 1)
     assert p13 @ p12 == perm_operator((2, 3, 1))
     assert p13 @ p23 == perm_operator((3, 1, 2))
+    # homomorphism P_s P_t = P_(s o t), (s o t)(i) = s(t(i)), on every pair
+    perms = list(itertools.permutations((1, 2, 3)))
+    for s in perms:
+        for t in perms:
+            st = tuple(s[i - 1] for i in t)
+            assert perm_operator(s) @ perm_operator(t) == perm_operator(st), (s, t)
     with pytest.raises(ValueError):
-        PermOperator((1, 1, 2))
+        perm_operator((1, 1, 2))
 
 
 def test_perm_operator_action_on_simple_tensor():
