@@ -18,8 +18,7 @@ from .plane import (build_plane_system, build_pure_system, phi,
 from .pmatrix import (ParamMatrix, embed12, embed23, flip21, inverse, kron,
                       nullspace, perm_operator, rank)
 from .rtt import assemble, rtt_residual, solve_family
-from .scalars import (ONE, ZERO, QuadExt, RatFunc, const, limit_u0,
-                      ratfunc_eq, substitute, sym)
+from .scalars import ONE, ZERO, RatFunc, const, limit_u0, substitute, sym
 
 __all__ = [
     "DEFORMATIONS", "build_M", "build_r", "build_rhat", "deformation",
@@ -36,6 +35,5 @@ __all__ = [
     "ParamMatrix", "embed12", "embed23", "flip21", "inverse", "kron",
     "nullspace", "perm_operator", "rank",
     "assemble", "rtt_residual", "solve_family",
-    "ONE", "ZERO", "QuadExt", "RatFunc", "const", "limit_u0", "ratfunc_eq",
-    "substitute", "sym",
+    "ONE", "ZERO", "RatFunc", "const", "limit_u0", "substitute", "sym",
 ]

@@ -4,7 +4,8 @@ Each family is a 4x4 matrix R-hat(K) over the exact scalar field, linear in
 the coupling K, together with the two eigenvalue parameters K1 and K2 at
 which the braid defect degenerates.  Everything downstream (projectors,
 K -> K' duality, the triangular point, the factorizing matrix M) is derived
-from (K1, K2) here, never hard-coded twice.
+from (K1, K2) here, never hard-coded twice.  M needs s = sqrt(2pq/(p+q)); it
+is built with s as the symbol u and checked modulo s^2 - rho.
 
 Basis order is e1(x)e1, e1(x)e2, e2(x)e1, e2(x)e2, first factor most
 significant.  R = P.R-hat with P the factor swap.
@@ -15,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .pmatrix import ParamMatrix, perm_operator
-from .scalars import ONE, DivisionByZero, QuadExt, RatFunc, as_ratfunc, sym
+from .scalars import ONE, ZERO, DivisionByZero, RatFunc, as_ratfunc, sym
 
 
 class DegenerateX(ArithmeticError):
@@ -66,28 +67,26 @@ def build_rhat(d, k=None) -> ParamMatrix:
     """R-hat(K) for one family; K = 0 gives the identity in every family."""
     spec = deformation(d)
     k = _coupling(k)
-    one = ONE
-    zero = one - one
     if spec.id == "pq":
         rows = [
-            [one, zero, zero, zero],
-            [zero, 1 - k, k / _P, zero],
-            [zero, k * _Q, 1 - k * _Q / _P, zero],
-            [zero, zero, zero, one],
+            [ONE, ZERO, ZERO, ZERO],
+            [ZERO, 1 - k, k / _P, ZERO],
+            [ZERO, k * _Q, 1 - k * _Q / _P, ZERO],
+            [ZERO, ZERO, ZERO, ONE],
         ]
     elif spec.id == "gh":
         rows = [
-            [one, -_H * k, _H * k, _G * _H * k],
-            [zero, 1 - k, k, _G * k],
-            [zero, k, 1 - k, -_G * k],
-            [zero, zero, zero, one],
+            [ONE, -_H * k, _H * k, _G * _H * k],
+            [ZERO, 1 - k, k, _G * k],
+            [ZERO, k, 1 - k, -_G * k],
+            [ZERO, ZERO, ZERO, ONE],
         ]
     else:
         rows = [
-            [one, zero, zero, k * _H],
-            [zero, 1 - k, k * _Q, zero],
-            [zero, k, 1 - k * _Q, zero],
-            [zero, zero, zero, 1 - k * (_Q + 1)],
+            [ONE, ZERO, ZERO, k * _H],
+            [ZERO, 1 - k, k * _Q, ZERO],
+            [ZERO, k, 1 - k * _Q, ZERO],
+            [ZERO, ZERO, ZERO, 1 - k * (_Q + 1)],
         ]
     return ParamMatrix.from_rows(rows)
 
@@ -99,7 +98,7 @@ def factor_swap() -> ParamMatrix:
     """The 4x4 tensor-factor swap P."""
     global _SWAP
     if _SWAP is None:
-        _SWAP = perm_operator((2, 1), 2)
+        _SWAP = perm_operator((2, 1))
     return _SWAP
 
 
@@ -146,18 +145,17 @@ def triangular_K(d) -> RatFunc:
 
 
 def build_M():
-    """Upper-triangular M over the quadratic extension s^2 = 2pq/(p+q) with
-    inverse(flip21(M)) . M = R(K*) for the pq family at the triangular K*.
-    Returns (M, rho)."""
+    """Upper-triangular M with inverse(flip21(M)) . M = R(K*) for the pq
+    family at the triangular K*, where s^2 = rho = 2pq/(p+q).  M is built
+    over RatFunc with the symbol u standing for s, so the identity holds
+    modulo u^2 - rho (see scalars.vanishes_at_sqrt).  Returns (M, rho)."""
     rho = 2 * _P * _Q / (_P + _Q)
-    one = QuadExt.of(1, rho)
-    zero = QuadExt.of(0, rho)
-    s = QuadExt.root(rho)
-    m = QuadExt(0, (_P - _Q) / (2 * _P * _Q), rho)
+    s = sym("u")
+    m = (_P - _Q) / (2 * _P * _Q) * s
     rows = [
-        [one, zero, zero, zero],
-        [zero, s, m, zero],
-        [zero, zero, s.inverse(), zero],
-        [zero, zero, zero, one],
+        [ONE, ZERO, ZERO, ZERO],
+        [ZERO, s, m, ZERO],
+        [ZERO, ZERO, ONE / s, ZERO],
+        [ZERO, ZERO, ZERO, ONE],
     ]
     return ParamMatrix.from_rows(rows), rho

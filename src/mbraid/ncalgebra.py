@@ -28,7 +28,6 @@ GROUP_TILDE = ("a_t", "b_t", "c_t", "d_t")
 PLANE_TILDE = ("xi_t", "eta_t", "x_t", "y_t")
 
 TILDE_OF = dict(zip(GROUP + PLANE, GROUP_TILDE + PLANE_TILDE))
-PLAIN_OF = {v: k for k, v in TILDE_OF.items()}
 
 
 class StepCapExceeded(RuntimeError):
@@ -248,7 +247,7 @@ def _rule(lhs: Word, terms: list) -> RewriteRule:
     return RewriteRule(tuple(lhs), NCPoly({tuple(w): as_ratfunc(c) for c, w in terms}))
 
 
-def build_group_system(d, step_cap: int = 10000) -> RewriteSystem:
+def build_group_system(d) -> RewriteSystem:
     """Oriented quadratic relations of the 2x2 quantum-group algebra for one
     deformation.  Right-hand sides are stored fully normal-ordered."""
     did = getattr(d, "id", d)
@@ -287,4 +286,4 @@ def build_group_system(d, step_cap: int = 10000) -> RewriteSystem:
         ]
     else:
         raise ValueError(f"unknown deformation {did!r}")
-    return RewriteSystem(did, GROUP, rules, step_cap)
+    return RewriteSystem(did, GROUP, rules)

@@ -27,6 +27,8 @@ from .catalog import build_rhat, deformation, hecke_X, projectors
 from .ncalgebra import PLANE, NCPoly, RewriteRule, RewriteSystem, normal_order
 from .scalars import ONE, RatFunc, as_ratfunc, sym
 
+_STEP_CAP = 20000
+
 
 class UnsupportedDeformation(ValueError):
     """Mixed-sector calculus requested for the fermionic-plane family."""
@@ -70,10 +72,10 @@ def _pure_rules(did: str):
     raise ValueError(f"unknown deformation {did!r}")
 
 
-def build_pure_system(d, step_cap: int = 20000) -> RewriteSystem:
+def build_pure_system(d) -> RewriteSystem:
     """Coordinate and differential relations only; K never appears."""
     spec = deformation(d)
-    return RewriteSystem(f"{spec.id}-plane-pure", PLANE, _pure_rules(spec.id), step_cap)
+    return RewriteSystem(f"{spec.id}-plane-pure", PLANE, _pure_rules(spec.id), _STEP_CAP)
 
 
 def phi_poly(did: str) -> NCPoly:
@@ -86,7 +88,7 @@ def phi_poly(did: str) -> NCPoly:
     raise UnsupportedDeformation(f"no mixed combination for {did!r}")
 
 
-def build_plane_system(d, k=None, step_cap: int = 20000) -> PlaneSystem:
+def build_plane_system(d, k=None) -> PlaneSystem:
     """Full plane calculus (pure + mixed rules) for the pq or gh family.
 
     The mixed right-hand sides are stored pre-expanded, with Phi folded in,
@@ -121,7 +123,7 @@ def build_plane_system(d, k=None, step_cap: int = 20000) -> PlaneSystem:
             RewriteRule(("y", "eta"), _word("eta", "y").scale(c)),
         ]
     rules = RewriteSystem(f"{spec.id}-plane", PLANE,
-                          _pure_rules(spec.id) + mixed, step_cap)
+                          _pure_rules(spec.id) + mixed, _STEP_CAP)
     return PlaneSystem(spec.id, k, rules, one_minus_X)
 
 

@@ -1,19 +1,15 @@
-"""Dense matrices over an exact commutative ring, usually the field RatFunc.
+"""Dense matrices over RatFunc.
 
-Entries are duck-typed: anything with the ring operators, inverse() and
-is_zero() works, so the same code runs over RatFunc and over QuadExt, the
-ring that serves only the factorization matrix M.  Data is a flat row-major
-list and instances are treated as immutable.
+Data is a flat row-major list and instances are treated as immutable.
 
 Elimination (inverse, rank, nullspace) is plain Gauss-Jordan with the first
 nonzero entry as pivot, scanning top to bottom; division is exact, and the
-fixed pivot rule keeps every result deterministic.  Over a ring with zero
-divisors a nonzero pivot may have no inverse: QuadExt then raises ZeroDivisor.
+fixed pivot rule keeps every result deterministic.
 """
 
 from __future__ import annotations
 
-from .scalars import ONE, ZERO, RatFunc
+from .scalars import ONE, ZERO
 
 
 class DimensionMismatch(ValueError):
@@ -41,9 +37,8 @@ class ParamMatrix:
         return ParamMatrix(len(rows), len(rows[0]), [e for r in rows for e in r])
 
     @staticmethod
-    def identity(n: int, one=ONE) -> "ParamMatrix":
-        zero = one - one
-        return ParamMatrix(n, n, [one if i == j else zero for i in range(n) for j in range(n)])
+    def identity(n: int) -> "ParamMatrix":
+        return ParamMatrix(n, n, [ONE if i == j else ZERO for i in range(n) for j in range(n)])
 
     def __getitem__(self, ij):
         i, j = ij
@@ -88,7 +83,6 @@ class ParamMatrix:
         for i in range(self.rows):
             base = i * self.cols
             for j in range(other.cols):
-                # accumulator seeded with the first product: no zero element needed
                 acc = self.data[base] * other.data[j]
                 for k in range(1, self.cols):
                     acc = acc + self.data[base + k] * other.data[k * other.cols + j]
@@ -127,8 +121,7 @@ def kron(a: ParamMatrix, b: ParamMatrix) -> ParamMatrix:
 def flip21(m: ParamMatrix) -> ParamMatrix:
     """Conjugation by the tensor-factor swap: flip21(x y) = flip21(x) flip21(y).
 
-    P.m.P for the 4x4 factor-swap P, done by index shuffling so the entry
-    field never needs explicit 0/1 constants."""
+    P.m.P for the 4x4 factor-swap P, done by index shuffling."""
     if (m.rows, m.cols) != (4, 4):
         raise DimensionMismatch("factor swap is defined for 4x4 matrices")
     perm = (0, 2, 1, 3)
@@ -146,10 +139,10 @@ def embed23(r: ParamMatrix) -> ParamMatrix:
     return kron(ParamMatrix.identity(2), r)
 
 
-def perm_operator(sigma, dim: int = 2) -> ParamMatrix:
+def perm_operator(sigma) -> ParamMatrix:
     """Matrix of P_sigma, a permutation of tensor factors in one-line notation
-    (sigma[t-1] = sigma(t)), on the n-fold tensor power, basis ordered
-    big-endian (first factor most significant).
+    (sigma[t-1] = sigma(t)), on the n-fold tensor power of a 2-dimensional
+    space, basis ordered big-endian (first factor most significant).
 
     Acts by (P_sigma v)_{j_1..j_n} = v_{j_sigma(1)..j_sigma(n)}, which makes
     it a homomorphism: P_sigma P_tau = P_{sigma o tau}.
@@ -158,29 +151,15 @@ def perm_operator(sigma, dim: int = 2) -> ParamMatrix:
     if sorted(sig) != list(range(1, len(sig) + 1)):
         raise ValueError(f"not a permutation of 1..{len(sig)}: {sig}")
     n = len(sig)
-    size = dim ** n
+    size = 2 ** n
     data = [ZERO] * (size * size)
     for row in range(size):
-        digits = _digits(row, dim, n)
-        col_digits = [digits[sig[t] - 1] for t in range(n)]
-        col = _undigits(col_digits, dim)
+        bits = [(row >> (n - 1 - t)) & 1 for t in range(n)]
+        col = 0
+        for t in range(n):
+            col = 2 * col + bits[sig[t] - 1]
         data[row * size + col] = ONE
     return ParamMatrix(size, size, data)
-
-
-def _digits(index: int, dim: int, n: int) -> list:
-    out = [0] * n
-    for t in range(n - 1, -1, -1):
-        out[t] = index % dim
-        index //= dim
-    return out
-
-
-def _undigits(digits: list, dim: int) -> int:
-    out = 0
-    for d in digits:
-        out = out * dim + d
-    return out
 
 
 def _rref(m: ParamMatrix):
@@ -233,11 +212,8 @@ def nullspace(m: ParamMatrix) -> list:
 def inverse(m: ParamMatrix) -> ParamMatrix:
     if m.rows != m.cols:
         raise DimensionMismatch("inverse of a non-square matrix")
-    pivot = next((e for e in m.data if not e.is_zero()), None)
-    if pivot is None:
-        raise Singular("the zero matrix is not invertible")
     n = m.rows
-    ident = ParamMatrix.identity(n, pivot / pivot)  # over the entries' ring
+    ident = ParamMatrix.identity(n)
     aug = ParamMatrix(n, 2 * n, [e for i in range(n) for e in m.row(i) + ident.row(i)])
     work, pivots = _rref(aug)
     if pivots != list(range(n)):

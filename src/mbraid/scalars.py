@@ -16,6 +16,9 @@ their denominators.
 Multivariate gcd cancellation is deliberately not attempted, so two equal
 values may have different representations; equality always goes through
 cross-multiplication.  Because of this, RatFunc is unhashable on purpose.
+
+RatFunc is the only scalar field.  A value in Q(...)(s) with s^2 = rho is a
+RatFunc in the symbol u, and vanishes_at_sqrt tests it modulo u^2 - rho.
 """
 
 from __future__ import annotations
@@ -37,10 +40,6 @@ Scalar = Union[int, Fraction, "RatFunc"]
 
 class DivisionByZero(ZeroDivisionError):
     """Division by a value that is identically zero."""
-
-
-class ZeroDivisor(DivisionByZero):
-    """Inverse of a nonzero zero divisor, such as a QuadExt of norm zero."""
 
 
 class PoleAtZero(ArithmeticError):
@@ -365,11 +364,6 @@ ZERO = const(0)
 ONE = const(1)
 
 
-def ratfunc_eq(x: RatFunc, y: Scalar) -> bool:
-    """Exact equality by cross-multiplication."""
-    return x == y
-
-
 def substitute(x: RatFunc, bindings: Mapping[str, Scalar]) -> RatFunc:
     """Replace symbols by values.  Bound symbols must not occur in any value."""
     vals = {}
@@ -442,104 +436,14 @@ def poly_divmod_in(f: Poly, g: Poly, name: str):
     return quot, rem
 
 
-class QuadExt:
-    """Element a + b*s of the ring RatFunc[s]/(s^2 - rho), used only for M.
+def vanishes_at_sqrt(x: RatFunc, rho: RatFunc) -> bool:
+    """Whether x vanishes at u = s, where s^2 = rho.
 
-    A field only when rho is not a square: for rho = r^2, (s - r)(s + r) = 0,
-    and rho = 0 gives the dual numbers.  Norm-zero elements have no inverse.
+    True when u^2 - rho divides x.num and does not divide x.den, as
+    polynomials in u over the rational functions of the other symbols.  This
+    is exact when rho does not mention u and is not a square: u^2 - rho is
+    then irreducible, the minimal polynomial of s, and divides every
+    polynomial that vanishes at s.
     """
-
-    __slots__ = ("a", "b", "rho")
-
-    def __init__(self, a: Scalar, b: Scalar, rho: RatFunc):
-        self.a = as_ratfunc(a)
-        self.b = as_ratfunc(b)
-        self.rho = rho
-
-    @staticmethod
-    def of(x: Scalar, rho: RatFunc) -> "QuadExt":
-        return QuadExt(x, 0, rho)
-
-    @staticmethod
-    def root(rho: RatFunc) -> "QuadExt":
-        return QuadExt(0, 1, rho)
-
-    def _lift(self, other):
-        if isinstance(other, QuadExt):
-            if not (self.rho == other.rho):
-                raise ValueError("mixed quadratic extensions")
-            return other
-        o = as_ratfunc(other)
-        return None if o is None else QuadExt(o, 0, self.rho)
-
-    def is_zero(self) -> bool:
-        return self.a.is_zero() and self.b.is_zero()
-
-    def __eq__(self, other) -> bool:
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return self.a == o.a and self.b == o.b
-
-    __hash__ = None
-
-    def __add__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return QuadExt(self.a + o.a, self.b + o.b, self.rho)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return QuadExt(self.a - o.a, self.b - o.b, self.rho)
-
-    def __rsub__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return o - self
-
-    def __neg__(self):
-        return QuadExt(-self.a, -self.b, self.rho)
-
-    def __mul__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return QuadExt(
-            self.a * o.a + self.rho * self.b * o.b,
-            self.a * o.b + self.b * o.a,
-            self.rho,
-        )
-
-    __rmul__ = __mul__
-
-    def inverse(self) -> "QuadExt":
-        n = self.a * self.a - self.rho * self.b * self.b
-        if n.is_zero():
-            if self.is_zero():
-                raise DivisionByZero("inverse of zero")
-            raise ZeroDivisor(f"{self} has norm zero and is a zero divisor")
-        return QuadExt(self.a / n, -self.b / n, self.rho)
-
-    def __truediv__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
-
-    def __str__(self) -> str:
-        return f"({self.a}) + ({self.b})*s"
-
-    def __repr__(self) -> str:
-        return f"QuadExt({self})"
+    g = (sym("u") * sym("u") - rho).num
+    return not poly_divmod_in(x.num, g, "u")[1] and bool(poly_divmod_in(x.den, g, "u")[1])

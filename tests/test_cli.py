@@ -7,17 +7,24 @@ from fractions import Fraction
 
 import pytest
 
+import mbraid
 import mbraid.cli as cli
-from mbraid.catalog import build_rhat, deformation
+from mbraid.catalog import build_M, build_r, build_rhat, deformation
 from mbraid.cli import (UnknownSymbol, _rational, main, parse_expression,
                         registered_checks, run_scan, run_verify)
 from mbraid.identities import braid_residual
 from mbraid.ncalgebra import NCPoly
+from mbraid.pmatrix import ParamMatrix
 from mbraid.plane import phi_poly
 from mbraid.scalars import DivisionByZero, UnknownSymbolError, substitute, sym
 
 K = sym("K")
 P = sym("p")
+
+
+def test_public_names_resolve():
+    for name in mbraid.__all__:
+        assert hasattr(mbraid, name), name
 
 
 def test_parse_phi_definition():
@@ -221,6 +228,20 @@ def test_verify_json_schema():
         assert entry["status"] == "PASS"
 
 
+def test_m_factorization_check_rejects_wrong_inputs(monkeypatch):
+    assert cli._check_m_factorization(None)[0]
+    m, rho = build_M()
+    data = list(m.data)
+    data[6] = 2 * m[1, 2]
+    doubled_m = ParamMatrix(4, 4, data)
+    for wrong in ((m, 2 * rho), (doubled_m, rho)):
+        monkeypatch.setattr(cli, "build_M", lambda: wrong)
+        assert not cli._check_m_factorization(None)[0]
+    monkeypatch.setattr(cli, "build_M", build_M)
+    monkeypatch.setattr(cli, "build_r", lambda d, k=None: build_r(d, 1))
+    assert not cli._check_m_factorization(None)[0]
+
+
 def test_verify_flags_corrupted_catalog(monkeypatch):
     real = build_rhat
     monkeypatch.setattr(cli, "build_rhat", lambda d, k=None: real(d, k).scale(2))
@@ -279,6 +300,17 @@ def test_main_scan_missing_binding(tmp_path, capsys):
                  "--csv", str(tmp_path / "x.csv")])
     assert code == 2
     assert "q" in capsys.readouterr().err
+
+
+def test_main_scan_unwritable_csv_is_a_usage_error(tmp_path, capsys):
+    for path in (tmp_path, tmp_path / "missing" / "x.csv"):
+        code = main(["scan", "--deformation", "pq", "--p", "2", "--q", "3",
+                     "--kmin", "0", "--kmax", "1", "--steps", "3",
+                     "--csv", str(path)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
 
 
 def test_main_scan_pole_in_binding(tmp_path, capsys):

@@ -9,16 +9,14 @@ from mbraid.scalars import (
     DivisionByZero,
     Poly,
     PoleAtZero,
-    QuadExt,
     RatFunc,
     UnknownSymbolError,
-    ZeroDivisor,
     const,
     limit_u0,
     poly_divmod_in,
-    ratfunc_eq,
     substitute,
     sym,
+    vanishes_at_sqrt,
 )
 
 K = sym("K")
@@ -74,8 +72,7 @@ def test_integer_content_cleared():
 def test_equality_without_gcd():
     lhs = (K * K - 1) / (K - 1)
     assert lhs == K + 1
-    assert ratfunc_eq(lhs, K + 1)
-    assert not ratfunc_eq(lhs, K - 1)
+    assert not (lhs == K - 1)
     assert (P / Q) != (Q / P)
 
 
@@ -147,37 +144,13 @@ def test_poly_divmod_in():
     assert rem2 and rem2[0] == const(2)
 
 
-def test_quadext_arithmetic():
-    rho = (K + 1) / P
-    s = QuadExt.root(rho)
-    assert s * s == QuadExt.of(rho, rho)
-    x = QuadExt(K, P, rho)
-    conj = QuadExt(K, -P, rho)
-    norm = x * conj
-    assert norm == QuadExt.of(K * K - rho * P * P, rho)
-    assert x * x.inverse() == QuadExt.of(1, rho)
-    assert (x / x) == QuadExt.of(1, rho)
-    with pytest.raises(DivisionByZero):
-        QuadExt.of(0, rho).inverse()
-    with pytest.raises(ValueError):
-        s + QuadExt.root(K)
-
-
-def test_quadext_zero_divisors_of_split_and_dual_rings():
-    split = QuadExt(-K, 1, K * K)
-    dual = QuadExt.root(ZERO)
-    for x in (split, dual):
-        assert not x.is_zero()
-        with pytest.raises(ZeroDivisor):
-            x.inverse()
-    with pytest.raises(DivisionByZero) as err:
-        QuadExt.of(0, K * K).inverse()
-    assert type(err.value) is DivisionByZero
-
-
-def test_quadext_mixed_scalar_ops():
-    rho = K + 4
-    s = QuadExt.root(rho)
-    assert 1 + s - 1 == s
-    assert (2 * s) / 2 == s
-    assert (s + 1) * (s - 1) == QuadExt.of(K + 3, rho)
+def test_vanishes_at_sqrt_truth_table():
+    rho = 2 * P * Q / (P + Q)
+    root = U * U - rho
+    assert vanishes_at_sqrt(root, rho)
+    assert vanishes_at_sqrt(root / U, rho)
+    assert vanishes_at_sqrt(ZERO, rho)
+    assert not vanishes_at_sqrt(U - 1, rho)
+    assert not vanishes_at_sqrt(ONE, rho)
+    # without a gcd, root / root keeps u^2 - rho in its denominator
+    assert not vanishes_at_sqrt(root / root, rho)
