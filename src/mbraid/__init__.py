@@ -8,8 +8,8 @@ from .catalog import (DEFORMATIONS, build_M, build_r, build_rhat, deformation,
 from .contraction import (contract_group_relations, contract_matrix,
                           contract_plane, frame)
 from .identities import (affine_decomposition, baxterization_check,
-                         braid_divisibility, braid_residual, mbe_check,
-                         mbe_factor, mbe_r_form, mbe_residual, s_shift_check)
+                         braid_divisibility, braid_residual, mbe_factor,
+                         mbe_r_form, mbe_residual, s_shift_check)
 from .ncalgebra import (NCPoly, RewriteSystem, build_group_system,
                         change_of_basis, diamond_check, normal_order)
 from .plane import (build_plane_system, build_pure_system, phi,
@@ -25,8 +25,7 @@ __all__ = [
     "hecke_X", "kprime", "projectors", "triangular_K",
     "contract_group_relations", "contract_matrix", "contract_plane", "frame",
     "affine_decomposition", "baxterization_check", "braid_divisibility",
-    "braid_residual", "mbe_check", "mbe_factor", "mbe_r_form", "mbe_residual",
-    "s_shift_check",
+    "braid_residual", "mbe_factor", "mbe_r_form", "mbe_residual", "s_shift_check",
     "NCPoly", "RewriteSystem", "build_group_system", "change_of_basis",
     "diamond_check", "normal_order",
     "build_plane_system", "build_pure_system", "phi", "phi_commutators",

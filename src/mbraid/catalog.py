@@ -91,20 +91,12 @@ def build_rhat(d, k=None) -> ParamMatrix:
     return ParamMatrix.from_rows(rows)
 
 
-_SWAP = None
-
-
-def factor_swap() -> ParamMatrix:
-    """The 4x4 tensor-factor swap P."""
-    global _SWAP
-    if _SWAP is None:
-        _SWAP = perm_operator((2, 1))
-    return _SWAP
+_SWAP = perm_operator((2, 1))  # the 4x4 tensor-factor swap P
 
 
 def build_r(d, k=None) -> ParamMatrix:
     """R(K) = P.R-hat(K), the RTT-form matrix."""
-    return factor_swap() @ build_rhat(d, k)
+    return _SWAP @ build_rhat(d, k)
 
 
 def hecke_X(d, k=None) -> RatFunc:

@@ -22,7 +22,8 @@ from .contraction import (contract_group_relations, contract_matrix,
                           contract_plane, frame)
 from .identities import (DegenerateValues, affine_decomposition,
                          baxterization_check, braid_divisibility,
-                         braid_residual, mbe_check, mbe_r_form, s_shift_check)
+                         braid_residual, mbe_factor, mbe_r_form, mbe_residual,
+                         s_shift_check)
 from .ncalgebra import (NCPoly, StepCapExceeded, build_group_system,
                         diamond_check, normal_order)
 from .plane import (UnsupportedDeformation, build_plane_system,
@@ -41,6 +42,7 @@ MAX_EXPONENT = 1000
 MAX_WORD = 1000
 MAX_TERMS = 10_000
 MAX_SCAN_STEPS = 100_000
+MAX_DEPTH = 100
 
 
 class UnknownSymbol(ValueError):
@@ -60,6 +62,8 @@ class UnknownSymbol(ValueError):
 # Products and quotients are refused before they are formed when their words
 # could exceed MAX_WORD letters, or when they could hold more than MAX_TERMS
 # numerator or denominator monomials, summed over the coefficients.
+# Parentheses and unary minus nest at most MAX_DEPTH levels, which keeps the
+# recursive descent well inside Python's recursion limit.
 
 def _tokenize(text: str) -> list:
     tokens = []
@@ -126,6 +130,7 @@ class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0  # open '(' and unary '-' levels
 
     def peek(self):
         return self.tokens[self.pos]
@@ -161,12 +166,21 @@ class _Parser:
 
     def factor(self) -> NCPoly:
         kind, text, offset = self.peek()
+        if kind in ("-", "("):
+            self.depth += 1
+            if self.depth > MAX_DEPTH:
+                raise _syntax_error(f"nesting deeper than {MAX_DEPTH} levels", offset)
         if kind == "-":
             self.take()
-            return -self.factor()
+            out = -self.factor()
+            self.depth -= 1
+            return out
         if kind == "num":
             self.take()
-            out = NCPoly.unit(Fraction(text))
+            try:
+                out = NCPoly.unit(Fraction(text))
+            except ZeroDivisionError:
+                raise _syntax_error("zero denominator", offset) from None
         elif kind == "name":
             self.take()
             if text in COMMUTING:
@@ -179,6 +193,7 @@ class _Parser:
             self.take()
             out = self.expr()
             self.take(")")
+            self.depth -= 1
         else:
             raise _syntax_error(f"expected a factor, found {text or 'end'!r}", offset)
         while self.peek()[0] == "^":
@@ -229,10 +244,10 @@ def run_scan(d, bindings, kmin, kmax, steps: int, out: str) -> list:
     for i in range(steps):
         kval = kmin + (kmax - kmin) * i / (steps - 1)
         rows.append((kval, math.sqrt(_horner(num, kval) / _horner(den, kval))))
+    lines = [f"{float(kval):.17g},{fro:.17g}\n" for kval, fro in rows]
     with open(out, "w") as fh:
         fh.write("K,residual_fro\n")
-        for kval, fro in rows:
-            fh.write(f"{float(kval):.17g},{fro:.17g}\n")
+        fh.writelines(lines)
     return rows
 
 
@@ -297,8 +312,7 @@ def _check_rtt_span(d):
 
 
 def _check_mbe(d):
-    rep = mbe_check(d)
-    return rep.residual_zero, f"defect factor {rep.factor}"
+    return mbe_residual(d).is_zero(), f"defect factor {mbe_factor(d)}"
 
 
 def _check_mbe_r_form(d):
@@ -549,7 +563,7 @@ def _do_scan(args) -> int:
     try:
         rows = run_scan(args.deformation, bindings, args.kmin, args.kmax,
                         args.steps, args.csv)
-    except (ValueError, UnknownSymbolError, DivisionByZero, OSError) as exc:
+    except (ValueError, UnknownSymbolError, DivisionByZero, OverflowError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     detail = f"{len(rows)} rows -> {args.csv}"

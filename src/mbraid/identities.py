@@ -20,8 +20,6 @@ R = P.Rhat using permutation operators.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .catalog import build_r, build_rhat, deformation, hecke_X
 from .pmatrix import ParamMatrix, embed12, embed23, perm_operator
 from .scalars import RatFunc, poly_divmod_in, sym
@@ -55,18 +53,6 @@ def mbe_residual(d, k=None) -> ParamMatrix:
     rhat = build_rhat(d, k)
     lam = mbe_factor(d, k)
     return _braid_defect(rhat) - (embed12(rhat) - embed23(rhat)).scale(lam)
-
-
-@dataclass(frozen=True)
-class MbeReport:
-    deformation: str
-    factor: RatFunc
-    residual_zero: bool
-
-
-def mbe_check(d, k=None) -> MbeReport:
-    spec = deformation(d)
-    return MbeReport(spec.id, mbe_factor(spec, k), mbe_residual(spec, k).is_zero())
 
 
 def mbe_r_form(d, k=None) -> ParamMatrix:

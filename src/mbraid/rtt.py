@@ -6,14 +6,14 @@ T is the 2x2 generator matrix [[a, b], [c, d]].  In the tensor-square basis
     (T1 T2)[(ik), (jl)] = T[i,j] T[k,l]       (T2 T1)[(ik), (jl)] = T[k,l] T[i,j]
 
 rtt_residual reduces R.(T1 T2) - (T2 T1).R entrywise to normal form.  The
-residual is linear in the entries of R, so assemble() extracts one linear
-equation per (matrix cell, normal word) by running the residual over the 16
-elementary matrices; solve_family returns the nullspace reshaped to 4x4.
+residual is linear in the entries of R, so assemble() builds column 4a+b of
+the linear system from the residual of the elementary matrix E_ab, one row
+per (matrix cell, normal word).  solve_family returns the nullspace reshaped
+to 4x4; the basis vectors are independent, so the catalog family lies in
+their span exactly when appending it leaves the rank unchanged.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .catalog import build_r, deformation
 from .ncalgebra import NCPoly, RewriteSystem, build_group_system, normal_order
@@ -29,14 +29,6 @@ class SpanMismatch(ArithmeticError):
 _T = (("a", "b"), ("c", "d"))
 
 
-def _t1t2_word(i: int, k: int, j: int, l: int):
-    return (_T[i][j], _T[k][l])
-
-
-def _t2t1_word(i: int, k: int, j: int, l: int):
-    return (_T[k][l], _T[i][j])
-
-
 def rtt_residual(r: ParamMatrix, system: RewriteSystem) -> list:
     """Normal-ordered entries of R.(T1 T2) - (T2 T1).R as a 4x4 nested list."""
     if (r.rows, r.cols) != (4, 4):
@@ -50,76 +42,42 @@ def rtt_residual(r: ParamMatrix, system: RewriteSystem) -> list:
             acc: dict = {}
             for mid in range(4):
                 m, n = divmod(mid, 2)
-                _accumulate(acc, _t1t2_word(m, n, j, l), r[row, mid])
-                _accumulate(acc, _t2t1_word(i, k, m, n), -r[mid, col])
+                left, right = r[row, mid], r[mid, col]
+                if not left.is_zero():  # R.(T1 T2)
+                    word = (_T[m][j], _T[n][l])
+                    acc[word] = acc.get(word, ZERO) + left
+                if not right.is_zero():  # (T2 T1).R
+                    word = (_T[k][n], _T[i][m])
+                    acc[word] = acc.get(word, ZERO) - right
             line.append(normal_order(NCPoly(acc), system))
         out.append(line)
     return out
 
 
-def _accumulate(acc: dict, word, coeff):
-    s = acc.get(word)
-    acc[word] = coeff if s is None else s + coeff
-
-
-@dataclass(frozen=True)
-class RttSystem:
-    deformation: str
-    matrix: ParamMatrix
-    row_labels: tuple
-    unknowns: tuple
-
-
-def assemble(d) -> RttSystem:
+def assemble(d) -> ParamMatrix:
     """Linear system over the 16 entries of R, one row per (cell, word)."""
-    spec = deformation(d)
-    system = build_group_system(spec.id)
+    system = build_group_system(deformation(d).id)
     rows: dict = {}
-    for alpha in range(4):
-        for beta in range(4):
-            column = 4 * alpha + beta
-            for row in range(4):
-                i, k = divmod(row, 2)
-                for col in range(4):
-                    j, l = divmod(col, 2)
-                    acc: dict = {}
-                    if row == alpha:
-                        m, n = divmod(beta, 2)
-                        _accumulate(acc, _t1t2_word(m, n, j, l), ONE)
-                    if col == beta:
-                        m, n = divmod(alpha, 2)
-                        _accumulate(acc, _t2t1_word(i, k, m, n), -ONE)
-                    if not acc:
-                        continue
-                    nf = normal_order(NCPoly(acc), system)
-                    for word, coeff in nf.coeffs.items():
-                        key = (row, col, word)
-                        if key not in rows:
-                            rows[key] = [ZERO] * 16
-                        rows[key][column] = rows[key][column] + coeff
-    labels = sorted(rows)
-    data = [e for key in labels for e in rows[key]]
-    matrix = ParamMatrix(len(labels), 16, data)
-    unknowns = tuple(f"R[{i}][{j}]" for i in range(4) for j in range(4))
-    return RttSystem(spec.id, matrix, tuple(labels), unknowns)
+    for column in range(16):
+        unit = [ZERO] * 16
+        unit[column] = ONE
+        residual = rtt_residual(ParamMatrix(4, 4, unit), system)
+        for row in range(4):
+            for col in range(4):
+                for word, coeff in residual[row][col].coeffs.items():
+                    rows.setdefault((row, col, word), [ZERO] * 16)[column] = coeff
+    return ParamMatrix(len(rows), 16, [e for key in sorted(rows) for e in rows[key]])
 
 
 def solve_family(d) -> list:
     """Nullspace of the assembled system as 4x4 matrices.  Raises SpanMismatch
     if the catalog family R(K) does not lie in the solved span."""
     spec = deformation(d)
-    sys_ = assemble(spec)
-    basis = _nullspace(sys_.matrix)
-    mats = [ParamMatrix(4, 4, list(vec)) for vec in basis]
+    basis = _nullspace(assemble(spec))
     catalog_vec = build_r(spec).data
-    if basis:
-        span = ParamMatrix(16, len(basis),
-                           [vec[i] for i in range(16) for vec in basis])
-        aug = ParamMatrix(16, len(basis) + 1,
-                          [e for i in range(16)
-                           for e in [*(vec[i] for vec in basis), catalog_vec[i]]])
-        if rank(aug) != rank(span):
-            raise SpanMismatch(f"{spec.id}: catalog matrix outside the solution span")
-    elif any(not e.is_zero() for e in catalog_vec):
-        raise SpanMismatch(f"{spec.id}: solver found only the zero solution")
-    return mats
+    aug = ParamMatrix(16, len(basis) + 1,
+                      [e for i in range(16)
+                       for e in [*(vec[i] for vec in basis), catalog_vec[i]]])
+    if rank(aug) != len(basis):
+        raise SpanMismatch(f"{spec.id}: catalog matrix outside the solution span")
+    return [ParamMatrix(4, 4, list(vec)) for vec in basis]

@@ -1,17 +1,20 @@
 import argparse
+import importlib.util
 import io
 import json
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 import mbraid
 import mbraid.cli as cli
 from mbraid.catalog import build_M, build_r, build_rhat, deformation
-from mbraid.cli import (UnknownSymbol, _rational, main, parse_expression,
-                        registered_checks, run_scan, run_verify)
+from mbraid.cli import (MAX_DEPTH, UnknownSymbol, _rational, main,
+                        parse_expression, registered_checks, run_scan,
+                        run_verify)
 from mbraid.identities import braid_residual
 from mbraid.ncalgebra import NCPoly
 from mbraid.pmatrix import ParamMatrix
@@ -25,6 +28,23 @@ P = sym("p")
 def test_public_names_resolve():
     for name in mbraid.__all__:
         assert hasattr(mbraid, name), name
+
+
+def test_bench_entry_points_resolve():
+    # the traced benchmark run wraps these names; a rename must fail here too
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("bench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for entries in tracer.FUNCTIONS.values():
+        for module, name in entries:
+            assert hasattr(importlib.import_module(f"mbraid.{module}"), name), (module, name)
+    for module, cls, method in tracer.METHODS.values():
+        owner = getattr(importlib.import_module(f"mbraid.{module}"), cls)
+        assert hasattr(owner, method), (module, cls, method)
+    # bench/worker.py calls these directly
+    for name in ("registered_checks", "run_verify", "run_scan", "parse_expression"):
+        assert callable(getattr(cli, name)), name
 
 
 def test_parse_phi_definition():
@@ -84,6 +104,19 @@ def test_parse_rejects_product_above_term_bound():
     assert parse_expression(str(big)) == big
 
 
+def test_parse_rejects_nesting_above_depth_bound():
+    assert parse_expression("(" * MAX_DEPTH + "x" + ")" * MAX_DEPTH) == NCPoly.gen("x")
+    assert parse_expression("-" * MAX_DEPTH + "x") == NCPoly.gen("x")
+    with pytest.raises(SyntaxError) as err:
+        parse_expression("(" * (MAX_DEPTH + 1) + "x" + ")" * (MAX_DEPTH + 1))
+    assert err.value.offset == MAX_DEPTH
+    with pytest.raises(SyntaxError) as err:
+        parse_expression("-(" * (MAX_DEPTH // 2) + "-x" + ")" * (MAX_DEPTH // 2))
+    assert err.value.offset == MAX_DEPTH
+    with pytest.raises(SyntaxError):
+        parse_expression("-" * 1000 + "x")
+
+
 def test_parse_rejects_word_above_length_bound():
     with pytest.raises(SyntaxError) as err:
         parse_expression("(x^1000)^1000")
@@ -98,6 +131,13 @@ def test_parse_division_is_scalar_only():
         parse_expression("x/y")
     with pytest.raises(DivisionByZero):
         parse_expression("x/0")
+
+
+def test_parse_rejects_zero_denominator_literal():
+    for text in ("1/0*x", "2/0"):
+        with pytest.raises(SyntaxError) as err:
+            parse_expression(text)
+        assert "zero denominator" in str(err.value)
 
 
 def test_render_parse_round_trip():
@@ -286,6 +326,22 @@ def test_main_plane_division_by_zero_in_expression(capsys):
     assert captured.err.startswith("error: ")
 
 
+def test_main_plane_zero_denominator_literal(capsys):
+    for expr in ("1/0*x", "2/0"):
+        assert main(["plane", "--expr", expr]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
+
+def test_main_plane_nesting_above_bound(capsys):
+    for expr in ("(" * 330 + "x" + ")" * 330, "-" * 1000 + "x"):
+        assert main(["plane", f"--expr={expr}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
+
 def test_main_plane_system_pole_at_coupling(capsys):
     # the gh plane rules divide by 1 - X, which vanishes at K = 1/2
     assert main(["plane", "--deformation", "gh", "--K", "1/2", "--expr", "x*xi"]) == 2
@@ -322,6 +378,18 @@ def test_main_scan_pole_in_binding(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")
+
+
+def test_main_scan_overflow_writes_no_csv(tmp_path, capsys):
+    path = tmp_path / "x.csv"
+    code = main(["scan", "--deformation", "pq", "--p", "2", "--q", "3",
+                 "--kmin", "0", "--kmax", "1" + "0" * 60, "--steps", "3",
+                 "--csv", str(path)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert not path.exists()
 
 
 def test_main_plane_step_cap_is_a_usage_error(capsys):

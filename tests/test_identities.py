@@ -10,7 +10,6 @@ from mbraid.identities import (
     baxterization_check,
     braid_divisibility,
     braid_residual,
-    mbe_check,
     mbe_factor,
     mbe_r_form,
     mbe_residual,
@@ -34,13 +33,6 @@ def test_mbe_factor_matches_displayed_forms():
     assert mbe_factor("pq") == (K - 1) * (K * Q / P - 1)
     assert mbe_factor("gh") == (K - 1) * (K - 1)
     assert mbe_factor("qh") == (K - 1) * (K * Q - 1)
-
-
-def test_mbe_report():
-    rep = mbe_check("gh")
-    assert rep.deformation == "gh"
-    assert rep.residual_zero
-    assert rep.factor == (K - 1) ** 2
 
 
 def test_mbe_r_form_zero_symbolic():

@@ -25,6 +25,29 @@ def test_residual_nonzero_for_identity():
     assert any(not res[i][j].is_zero() for i in range(4) for j in range(4))
 
 
+def test_rtt_residual_is_linear():
+    # assemble() reads the system off the residuals of elementary matrices
+    rng = random.Random(90210)
+
+    def rational_r():
+        return ParamMatrix(4, 4, [ONE * Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+                                  for _ in range(16)])
+
+    for did in DEFORMATIONS:
+        system = build_group_system(did)
+        r1, r2 = rational_r(), rational_r()
+        c = Fraction(rng.randint(2, 9), rng.randint(10, 19))
+        res1, res2 = rtt_residual(r1, system), rtt_residual(r2, system)
+        summed = rtt_residual(r1 + r2, system)
+        scaled = rtt_residual(r1.scale(c), system)
+        cells = [(i, j) for i in range(4) for j in range(4)]
+        assert any(not res1[i][j].is_zero() for i, j in cells), did
+        assert any(not res2[i][j].is_zero() for i, j in cells), did
+        for i, j in cells:
+            assert summed[i][j] == res1[i][j] + res2[i][j], (did, i, j)
+            assert scaled[i][j] == res1[i][j].scale(c), (did, i, j)
+
+
 def test_residual_rejects_wrong_shape():
     with pytest.raises(ValueError):
         rtt_residual(ParamMatrix.identity(2), build_group_system("pq"))
@@ -33,8 +56,8 @@ def test_residual_rejects_wrong_shape():
 def test_assembled_system_is_coupling_free():
     for did in DEFORMATIONS:
         sysm = assemble(did)
-        assert sysm.matrix.cols == 16
-        assert all("K" not in e.symbols() for e in sysm.matrix.data), did
+        assert sysm.cols == 16
+        assert all("K" not in e.symbols() for e in sysm.data), did
 
 
 def _fraction_rank(rows):
@@ -65,8 +88,8 @@ def test_nullity_matches_independent_elimination_oracle():
         vals = {s: Fraction(rng.randint(2, 40), rng.randint(41, 80))
                 for s in ("p", "q", "g", "h")}
         vals.update({"K": 0, "u": 0})
-        numeric = [[e.eval(vals) for e in sysm.matrix.row(i)]
-                   for i in range(sysm.matrix.rows)]
+        numeric = [[e.eval(vals) for e in sysm.row(i)]
+                   for i in range(sysm.rows)]
         assert 16 - _fraction_rank(numeric) == 2, did
 
 
