@@ -181,6 +181,8 @@ class _Parser:
                 out = NCPoly.unit(Fraction(text))
             except ZeroDivisionError:
                 raise _syntax_error("zero denominator", offset) from None
+            except ValueError:  # beyond the interpreter's int digit limit
+                raise _syntax_error("numeric literal too long", offset) from None
         elif kind == "name":
             self.take()
             if text in COMMUTING:
@@ -201,10 +203,11 @@ class _Parser:
             kind, text, offset = self.take("num")
             if "/" in text:
                 raise _syntax_error("exponent must be a nonnegative integer", offset)
-            if int(text) > MAX_EXPONENT:
+            digits = text.lstrip("0") or "0"
+            if len(digits) > len(str(MAX_EXPONENT)) or int(digits) > MAX_EXPONENT:
                 raise _syntax_error(f"exponent above {MAX_EXPONENT}", offset)
             power, base = NCPoly.unit(), out
-            for _ in range(int(text)):
+            for _ in range(int(digits)):
                 _check_size(power, base, offset)
                 power = power * base
             out = power

@@ -2,6 +2,12 @@
 
 Data is a flat row-major list and instances are treated as immutable.
 
+Storage is dense, but products, Kronecker products and elimination visit only
+nonzero entries, in the order of the plain dense loops.  A skipped term is a
+product with a zero factor, which the dense loop would add as a no-op, so
+every entry comes out representation-identical, not just equal: RatFunc is
+not canonical, and the order of a sum can change how it is written.
+
 Elimination (inverse, rank, nullspace) is plain Gauss-Jordan with the first
 nonzero entry as pivot, scanning top to bottom; division is exact, and the
 fixed pivot rule keeps every result deterministic.
@@ -79,15 +85,21 @@ class ParamMatrix:
         if self.cols != other.rows:
             raise DimensionMismatch(
                 f"{self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        out = []
+        n, m = self.cols, other.cols
+        other_rows = [[(j, e) for j, e in enumerate(other.row(k)) if not e.is_zero()]
+                      for k in range(n)]
+        out = [ZERO] * (self.rows * m)
         for i in range(self.rows):
-            base = i * self.cols
-            for j in range(other.cols):
-                acc = self.data[base] * other.data[j]
-                for k in range(1, self.cols):
-                    acc = acc + self.data[base + k] * other.data[k * other.cols + j]
-                out.append(acc)
-        return ParamMatrix(self.rows, other.cols, out)
+            acc = {}
+            for k, a in enumerate(self.row(i)):
+                if a.is_zero():
+                    continue
+                for j, b in other_rows[k]:
+                    term = a * b
+                    acc[j] = acc[j] + term if j in acc else term
+            for j, e in acc.items():
+                out[i * m + j] = e
+        return ParamMatrix(self.rows, m, out)
 
     def scale(self, s) -> "ParamMatrix":
         return ParamMatrix(self.rows, self.cols, [s * e for e in self.data])
@@ -113,8 +125,11 @@ def kron(a: ParamMatrix, b: ParamMatrix) -> ParamMatrix:
     for i in range(a.rows):
         for k in range(b.rows):
             for j in range(a.cols):
-                for l in range(b.cols):
-                    out.append(a[i, j] * b[k, l])
+                x = a[i, j]
+                if x.is_zero():
+                    out += [ZERO] * b.cols
+                else:
+                    out += [x * e for e in b.row(k)]
     return ParamMatrix(a.rows * b.rows, a.cols * b.cols, out)
 
 
@@ -177,11 +192,14 @@ def _rref(m: ParamMatrix):
             continue
         work[r], work[pivot_row] = work[pivot_row], work[r]
         inv = work[r][c].inverse()
-        work[r] = [inv * e for e in work[r]]
+        pivot = work[r] = [inv * e for e in work[r]]
+        nonzero = [j for j, e in enumerate(pivot) if not e.is_zero()]
         for i in range(m.rows):
-            if i != r and not work[i][c].is_zero():
-                f = work[i][c]
-                work[i] = [a - f * b for a, b in zip(work[i], work[r])]
+            f = work[i][c]
+            if i != r and not f.is_zero():
+                row = work[i]
+                for j in nonzero:
+                    row[j] = row[j] - f * pivot[j]
         pivots.append(c)
         r += 1
         if r == m.rows:

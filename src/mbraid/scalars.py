@@ -13,6 +13,12 @@ values never touches Fraction.  A Poly built outside RatFunc may still hold
 Fraction coefficients (``Poly.const(Fraction(1, 2))``); normalization clears
 their denominators.
 
+Fast paths skip work whose result is already known, and return an operand
+that is already normal: a product with a zero operand returns that zero, a
+product with an operand that is exactly 1 returns the other operand, and a
+sum or difference with a zero operand returns the other operand (negated
+for ``0 - x``).
+
 Multivariate gcd cancellation is deliberately not attempted, so two equal
 values may have different representations; equality always goes through
 cross-multiplication.  Because of this, RatFunc is unhashable on purpose.
@@ -187,6 +193,7 @@ def _mono_str(mono: Monomial) -> str:
 
 _POLY_ZERO = Poly({})
 _POLY_ONE = Poly({_MONO_ONE: 1})
+_UNIT_TERMS = _POLY_ONE.terms
 
 
 def _normalized(num: Poly, den: Poly):
@@ -288,6 +295,10 @@ class RatFunc:
             return self
         if not o.num.terms:
             return o
+        if self.num.terms == _UNIT_TERMS and self.den.terms == _UNIT_TERMS:
+            return o
+        if o.num.terms == _UNIT_TERMS and o.den.terms == _UNIT_TERMS:
+            return self
         return RatFunc(self.num * o.num, self.den * o.den)
 
     __rmul__ = __mul__

@@ -334,6 +334,24 @@ def test_main_plane_zero_denominator_literal(capsys):
         assert captured.err.startswith("error: ")
 
 
+def test_main_plane_literal_beyond_int_digit_limit(capsys):
+    # Python refuses to convert a string of more than 4300 digits to int
+    assert main(["plane", "--expr", "1" * 5000 + "*x"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
+def test_main_plane_exponent_beyond_int_digit_limit(capsys):
+    assert main(["plane", "--expr", "x^" + "1" * 5000]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    # leading zeros do not count towards the length
+    assert main(["plane", "--expr", "x^" + "0" * 5000 + "2"]) == 0
+    assert capsys.readouterr().out.strip() == "x*x"
+
+
 def test_main_plane_nesting_above_bound(capsys):
     for expr in ("(" * 330 + "x" + ")" * 330, "-" * 1000 + "x"):
         assert main(["plane", f"--expr={expr}"]) == 2

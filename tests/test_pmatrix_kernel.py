@@ -1,0 +1,106 @@
+"""Differential test of the sparse matrix kernels against the dense loops
+kept in ref_pmatrix.py.
+
+RatFunc is not canonical, so the order in which terms are added can change
+how a sum is written.  Every entry must therefore match the reference
+representation for representation, not just as a value."""
+
+import random
+from fractions import Fraction
+
+import pytest
+import ref_pmatrix as ref
+
+from mbraid.pmatrix import ParamMatrix, _rref, embed12, embed23, kron, nullspace, rank
+from mbraid.scalars import ONE, ZERO, Poly, RatFunc, const, sym
+
+K, P, Q = sym("K"), sym("p"), sym("q")
+
+# shared non-monomial denominators next to distinct ones make the written
+# form of a sum depend on the order of its terms
+NONZERO = [
+    ONE, -ONE, const(Fraction(1, 2)), const(Fraction(-3, 4)), const(5),
+    RatFunc(Poly({(0,) * 6: Fraction(1)})),
+    K, P - Q, ONE / (K + 1), 2 / (K + 1), P / (K + 1), ONE / (P + 1),
+    Q / (P + 1), (K - 1) / (2 * Q), (P - Q) / (P * Q), K * K / (Q - 1),
+]
+# elimination multiplies entries up without a gcd, so its pool stays small
+ELIMINATION = NONZERO[:8] + [ONE / (K + 1), 2 / (K + 1), ONE / (P + 1)]
+ZERO_SHARE = 0.65
+
+
+def _entry(rng, pool):
+    return ZERO if rng.random() < ZERO_SHARE else rng.choice(pool)
+
+
+def _random_matrix(rng, n, m, pool=NONZERO):
+    return ParamMatrix(n, m, [_entry(rng, pool) for _ in range(n * m)])
+
+
+def _plant_cancellation(rng, a, b):
+    """Make the sum a[i] . b[:, j] reach zero at term k2 and go on after it."""
+    i, j = rng.randrange(a.rows), rng.randrange(b.cols)
+    k1, k2, k3 = sorted(rng.sample(range(a.cols), 3))
+    v, w = rng.choice(NONZERO), rng.choice(NONZERO)
+    for k in range(k2):
+        a.data[i * a.cols + k] = ZERO
+    a.data[i * a.cols + k1] = a.data[i * a.cols + k2] = v
+    a.data[i * a.cols + k3] = w
+    b.data[k1 * b.cols + j], b.data[k2 * b.cols + j] = ONE, -ONE
+    b.data[k3 * b.cols + j] = rng.choice(NONZERO)
+
+
+def _assert_same_entries(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.num.terms == w.num.terms
+        assert g.den.terms == w.den.terms
+        assert str(g) == str(w)
+
+
+@pytest.mark.parametrize("shape", [(4, 4, 4), (8, 8, 8), (4, 8, 3)])
+def test_matmul_matches_dense_loop(shape):
+    rng = random.Random(f"matmul:{shape}")
+    n, k, m = shape
+    for _ in range(20):
+        a, b = _random_matrix(rng, n, k), _random_matrix(rng, k, m)
+        _plant_cancellation(rng, a, b)
+        _assert_same_entries((a @ b).data, ref.matmul(a, b).data)
+        # a product of products, the shape of the triple-product checks
+        if n == k == m == 4:
+            c = _random_matrix(rng, n, n)
+            _assert_same_entries((a @ b @ c).data,
+                                 ref.matmul(ref.matmul(a, b), c).data)
+
+
+def test_kron_matches_dense_loop():
+    rng = random.Random("kron")
+    ident = ParamMatrix.identity(2)
+    for _ in range(4):
+        for shape_a, shape_b in [((2, 2), (4, 4)), ((4, 4), (2, 2)), ((2, 3), (3, 2))]:
+            a, b = _random_matrix(rng, *shape_a), _random_matrix(rng, *shape_b)
+            _assert_same_entries(kron(a, b).data, ref.kron(a, b).data)
+        r = _random_matrix(rng, 4, 4)
+        _assert_same_entries(embed12(r).data, ref.kron(r, ident).data)
+        _assert_same_entries(embed23(r).data, ref.kron(ident, r).data)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_elimination_matches_dense_loop(seed):
+    rng = random.Random(f"rref:{seed}")
+    m = _random_matrix(rng, 16, 5, ELIMINATION)
+    # two dependent columns, so the nullspace is not empty and rows cancel
+    v, w = rng.choice(ELIMINATION), rng.choice(ELIMINATION)
+    for i in range(m.rows):
+        m.data[i * 5 + 3] = m[i, 0] * v + m[i, 1]
+        m.data[i * 5 + 4] = m[i, 2] * w - m[i, 0]
+    work, pivots = _rref(m)
+    want_work, want_pivots = ref._rref(m)
+    assert pivots == want_pivots
+    for row, want_row in zip(work, want_work):
+        _assert_same_entries(row, want_row)
+    assert rank(m) == ref.rank(m) <= 3
+    basis, want_basis = nullspace(m), ref.nullspace(m)
+    assert len(basis) == len(want_basis) >= 2
+    for vec, want_vec in zip(basis, want_basis):
+        _assert_same_entries(vec, want_vec)

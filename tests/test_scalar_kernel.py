@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 import ref_scalars as ref
 
-from mbraid.scalars import DivisionByZero, Poly, RatFunc
+from mbraid.scalars import ONE, DivisionByZero, Poly, RatFunc
 
 NVARS = 6
 # per seed
@@ -73,6 +73,16 @@ def test_kernel_matches_fraction_reference(seed):
     a, b = pool[0]
     pool.append((a - a, b - b))
     pool.append((RatFunc(Poly({})), ref.RatFunc(ref.Poly({}))))
+    # units exercise the fast path of multiplication by 1
+    mono_one = (0,) * NVARS
+    ref_one = ref.RatFunc(ref.Poly({mono_one: Fraction(1)}))
+    units = [(ONE, ref_one), (-ONE, -ref_one),
+             (RatFunc(Poly({mono_one: Fraction(1)})), ref_one)]
+    for u, ru in units:
+        for x, rx in pool[:20]:
+            _assert_same(x * u, rx * ru)
+            _assert_same(u * x, ru * rx)
+    pool += units
 
     for _ in range(OPERATIONS):
         (x, rx), (y, ry) = rng.choice(pool), rng.choice(pool)
@@ -107,3 +117,12 @@ def test_equal_values_with_different_representations():
         got = (x * y) / y
         _assert_same(got, (rx * ry) / ry)
         assert got == x
+
+
+def test_product_with_one_keeps_representation():
+    x = RatFunc(Poly({(1, 0, 0, 0, 0, 0): Fraction(1, 2)}),
+                Poly({(0, 1, 0, 0, 0, 0): 3, (0, 0, 0, 0, 0, 0): -1}))
+    for got in (x * ONE, ONE * x, x * 1, 1 * x):
+        assert got.num.terms == x.num.terms
+        assert got.den.terms == x.den.terms
+        assert str(got) == str(x) == "(K)/(6*p - 2)"
