@@ -11,7 +11,8 @@ from .identities import (affine_decomposition, baxterization_check,
                          braid_divisibility, braid_residual, mbe_factor,
                          mbe_r_form, mbe_residual, s_shift_check)
 from .ncalgebra import (NCPoly, RewriteSystem, build_group_system,
-                        change_of_basis, diamond_check, normal_order)
+                        change_of_basis, critical_pairs, diamond_check,
+                        normal_order, termination_order)
 from .plane import (build_plane_system, build_pure_system, phi,
                     phi_commutators, phi_nilpotent, phi_poly,
                     projector_consistency, pure_sector_consistency)
@@ -27,7 +28,7 @@ __all__ = [
     "affine_decomposition", "baxterization_check", "braid_divisibility",
     "braid_residual", "mbe_factor", "mbe_r_form", "mbe_residual", "s_shift_check",
     "NCPoly", "RewriteSystem", "build_group_system", "change_of_basis",
-    "diamond_check", "normal_order",
+    "critical_pairs", "diamond_check", "normal_order", "termination_order",
     "build_plane_system", "build_pure_system", "phi", "phi_commutators",
     "phi_nilpotent", "phi_poly", "projector_consistency",
     "pure_sector_consistency",

@@ -25,7 +25,7 @@ from .identities import (DegenerateValues, affine_decomposition,
                          braid_residual, mbe_factor, mbe_r_form, mbe_residual,
                          s_shift_check)
 from .ncalgebra import (NCPoly, StepCapExceeded, build_group_system,
-                        diamond_check, normal_order)
+                        critical_pairs, normal_order, termination_order)
 from .plane import (UnsupportedDeformation, build_plane_system,
                     build_pure_system, phi_commutators, phi_nilpotent,
                     projector_consistency, pure_sector_consistency)
@@ -391,9 +391,14 @@ def _check_diamond(d):
     spec = deformation(d)
     couplings = [spec.K1] + ([] if spec.K2 == spec.K1 else [spec.K2])
     for k in couplings:
-        violations = diamond_check(build_plane_system(spec, k).rules, 4)
-        if violations:
-            return False, f"{len(violations)} violations at K = {k}"
+        # a termination order plus resolved overlaps is confluence at every degree
+        system = build_plane_system(spec, k).rules
+        if termination_order(system) is None:
+            return False, f"no termination order at K = {k}"
+        unresolved = critical_pairs(system)
+        if unresolved:
+            word = "*".join(unresolved[0][0])
+            return False, f"{len(unresolved)} unresolved overlaps at K = {k}; first {word}"
     return True, "no overlap violations to degree 4 at the braid couplings"
 
 

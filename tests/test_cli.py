@@ -6,6 +6,7 @@ import math
 import random
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -16,7 +17,7 @@ from mbraid.cli import (MAX_DEPTH, UnknownSymbol, _rational, main,
                         parse_expression, registered_checks, run_scan,
                         run_verify)
 from mbraid.identities import braid_residual
-from mbraid.ncalgebra import NCPoly
+from mbraid.ncalgebra import NCPoly, RewriteRule, RewriteSystem
 from mbraid.pmatrix import ParamMatrix
 from mbraid.plane import phi_poly
 from mbraid.scalars import DivisionByZero, UnknownSymbolError, substitute, sym
@@ -280,6 +281,21 @@ def test_m_factorization_check_rejects_wrong_inputs(monkeypatch):
     monkeypatch.setattr(cli, "build_M", build_M)
     monkeypatch.setattr(cli, "build_r", lambda d, k=None: build_r(d, 1))
     assert not cli._check_m_factorization(None)[0]
+
+
+def test_diamond_check_names_an_unresolved_overlap(monkeypatch):
+    assert cli._check_diamond("pq") == (
+        True, "no overlap violations to degree 4 at the braid couplings")
+    symbolic = cli.build_plane_system("pq")
+    monkeypatch.setattr(cli, "build_plane_system", lambda d, k=None: symbolic)
+    assert cli._check_diamond("pq") == (
+        False, "6 unresolved overlaps at K = 1; first x*eta*xi")
+    swap = RewriteSystem("swap", ("x", "y"), [
+        RewriteRule(("x", "y"), NCPoly.from_word(("y", "x"))),
+        RewriteRule(("y", "x"), NCPoly.from_word(("x", "y")))])
+    monkeypatch.setattr(cli, "build_plane_system",
+                        lambda d, k=None: SimpleNamespace(rules=swap))
+    assert cli._check_diamond("gh") == (False, "no termination order at K = 1")
 
 
 def test_verify_flags_corrupted_catalog(monkeypatch):

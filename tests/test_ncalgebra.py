@@ -11,9 +11,13 @@ from mbraid.ncalgebra import (
     StepCapExceeded,
     build_group_system,
     change_of_basis,
+    critical_pairs,
     diamond_check,
     normal_order,
+    termination_order,
 )
+from mbraid.catalog import deformation
+from mbraid.plane import build_plane_system, build_pure_system
 from mbraid.scalars import ONE, const, sym
 
 P = sym("p")
@@ -99,11 +103,95 @@ def test_group_diamond_detects_dropped_rule():
     assert ("d", "c", "a") in violations
 
 
-def test_step_cap_guards_nontermination():
-    swap = RewriteSystem("swap", ("a", "b"), [
+def _swap_system():
+    return RewriteSystem("swap", ("a", "b"), [
         RewriteRule(("a", "b"), NCPoly.from_word(("b", "a"))),
         RewriteRule(("b", "a"), NCPoly.from_word(("a", "b"))),
     ], step_cap=50)
+
+
+def _all_systems():
+    # name -> system: 3 group algebras, 3 pure planes, the two mixed planes
+    # at symbolic K and at each braid coupling
+    out = {f"{d}-group": build_group_system(d) for d in ("pq", "gh", "qh")}
+    out.update({f"{d}-pure": build_pure_system(d) for d in ("pq", "gh", "qh")})
+    for d in ("pq", "gh"):
+        spec = deformation(d)
+        out[f"{d}-plane"] = build_plane_system(d).rules
+        out[f"{d}-plane@K1"] = build_plane_system(spec, spec.K1).rules
+        if spec.K2 != spec.K1:
+            out[f"{d}-plane@K2"] = build_plane_system(spec, spec.K2).rules
+    return out
+
+
+def test_critical_pairs_match_degree_three_diamond_oracle():
+    systems = _all_systems()
+    assert len(systems) == 11
+    unresolved = {}
+    for name, system in systems.items():
+        words = [w for w, _ in critical_pairs(system)]
+        assert set(words) == set(diamond_check(system, 3)), name
+        assert len(words) == len(set(words)), name
+        unresolved[name] = len(words)
+    assert unresolved.pop("pq-plane") == 6
+    assert unresolved.pop("gh-plane") == 7
+    assert all(n == 0 for n in unresolved.values()), unresolved
+
+
+def test_critical_pairs_detect_dropped_rule():
+    full = build_group_system("pq")
+    rules = [r for lhs, r in full.by_lhs.items() if lhs != ("c", "b")]
+    broken = RewriteSystem("pq-broken", GROUP, rules)
+    words = {w for w, _ in critical_pairs(broken)}
+    assert ("d", "b", "a") in words
+    assert ("d", "c", "a") in words
+    assert words == set(diamond_check(broken, 3))
+
+
+def test_critical_pairs_cover_self_overlaps():
+    # a.a.a overlaps the rule aa -> ab with itself: aba against abb
+    system = RewriteSystem("self", ("a", "b"), [
+        RewriteRule(("a", "a"), NCPoly.from_word(("a", "b")))])
+    word = ("a", "a", "a")
+    diff = NCPoly.from_word(("a", "b", "a")) - NCPoly.from_word(("a", "b", "b"))
+    assert critical_pairs(system) == [(word, diff)]
+    assert diamond_check(system, 3) == [word]
+    assert termination_order(system) == (1, 0)
+
+
+def _weighted_key(system, weights):
+    # independent restatement of the order: weighted degree, length, ranks
+    def key(word):
+        total = sum(weights[system.alphabet.index(l)] for l in word)
+        return total, len(word), [system.alphabet.index(l) for l in word]
+    return key
+
+
+def test_termination_order_weights():
+    systems = _all_systems()
+    expected = {name: (0, 0, 0, 0) for name in systems}
+    expected["gh-group"] = (1, 1, 0, 0)
+    expected["qh-group"] = (1, 1, 0, 1)
+    for name in ("gh-pure", "gh-plane", "gh-plane@K1"):
+        expected[name] = (1, 0, 1, 0)
+    assert {name: termination_order(s) for name, s in systems.items()} == expected
+
+
+def test_termination_order_descends_every_rule():
+    for name, system in _all_systems().items():
+        weights = termination_order(system)
+        key = _weighted_key(system, weights)
+        for lhs, rule in system.by_lhs.items():
+            for word in rule.rhs.coeffs:
+                assert key(word) < key(lhs), (name, lhs, word)
+
+
+def test_termination_order_none_for_swap_system():
+    assert termination_order(_swap_system()) is None
+
+
+def test_step_cap_guards_nontermination():
+    swap = _swap_system()
     with pytest.raises(StepCapExceeded):
         normal_order(NCPoly.from_word(("a", "b")), swap)
 

@@ -3,7 +3,8 @@
 import pytest
 
 from mbraid.identities import mbe_factor
-from mbraid.ncalgebra import PLANE, NCPoly, RewriteSystem, diamond_check, normal_order
+from mbraid.ncalgebra import (PLANE, NCPoly, RewriteSystem, critical_pairs,
+                              diamond_check, normal_order)
 from mbraid.plane import (PlaneSystem, UnsupportedDeformation, build_plane_system,
                           build_pure_system, phi, phi_commutators, phi_nilpotent,
                           projector_consistency, pure_sector_consistency)
@@ -139,6 +140,7 @@ def test_overlap_defect_is_the_braid_defect():
     left = normal_order(w("x", "eta", "xi"), ps.rules)
     right = normal_order(w("x", "xi", "eta").scale(-Q), ps.rules)
     assert left - right == w("xi", "eta", "x").scale(c * c * mbe_factor("pq"))
+    assert dict(critical_pairs(ps.rules))[("x", "eta", "xi")] == left - right
 
     ps = build_plane_system("gh")
     c = ONE / ps.one_minus_X
@@ -146,6 +148,7 @@ def test_overlap_defect_is_the_braid_defect():
     right = normal_order(-w("x", "xi", "eta"), ps.rules)
     target = (w("xi", "eta", "x") + w("xi", "eta", "y").scale(H))
     assert left - right == target.scale(c * c * mbe_factor("gh"))
+    assert dict(critical_pairs(ps.rules))[("x", "eta", "xi")] == left - right
 
 
 def _k_degree_after_clearing(cf, one_minus_X, m):
