@@ -7,10 +7,10 @@ left-hand side is a two-letter descending (or repeated) pair and every
 right-hand side is already in normal form.
 
 Reduction is leftmost-innermost and deterministic.  Termination and
-confluence are certified, not searched for: termination_order finds a
-weighted degree-lex order, with 0/1 weights on the letters, under which every
-rule descends, and critical_pairs resolves each overlap ab.bc of two
-left-hand sides.  By Bergman's diamond lemma (Adv. Math. 29, 1978) the two
+confluence rest on certificates: termination_order finds a weighted
+degree-lex order, with 0/1 weights on the letters, under which every rule
+descends, and critical_pairs resolves each overlap ab.bc of two left-hand
+sides.  By Bergman's diamond lemma (Adv. Math. 29, 1978) the two
 together prove confluence at every degree.  The step cap in normal_order is
 only a backstop for systems without an order.  diamond_check, which reduces
 every word up to a fixed degree with two redexes, is kept as an oracle.
