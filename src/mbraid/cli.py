@@ -20,10 +20,10 @@ from .catalog import (DEFORMATIONS, DegenerateX, build_M, build_r, build_rhat,
                       deformation, hecke_X, kprime, projectors, triangular_K)
 from .contraction import (contract_group_relations, contract_matrix,
                           contract_plane, frame)
-from .identities import (DegenerateValues, affine_decomposition,
-                         baxterization_check, braid_divisibility,
-                         braid_residual, mbe_factor, mbe_r_form, mbe_residual,
-                         s_shift_check)
+from .identities import (DegenerateValues, _braid_defect,
+                         affine_decomposition, baxterization_check,
+                         braid_divisibility, braid_residual, mbe_factor,
+                         mbe_r_form, mbe_residual, s_shift_check)
 from .ncalgebra import (NCPoly, StepCapExceeded, build_group_system,
                         critical_pairs, normal_order, termination_order)
 from .plane import (UnsupportedDeformation, build_plane_system,
@@ -228,25 +228,36 @@ def parse_expression(text: str) -> NCPoly:
 def run_scan(d, bindings, kmin, kmax, steps: int, out: str) -> list:
     """Frobenius norm of the braid defect on an even grid of couplings.
 
-    The bindings go into the symbolic braid_residual, and its squared entries
-    are summed once into F(K), an exact polynomial in K.  The grid and F at
-    each grid point stay exact rationals; the square root and the CSV text
-    are the only floating-point steps.
+    The bindings go into the 16 entries of Rhat first, so the braid defect
+    of the bound matrix is polynomial in K alone; its squared entries are
+    summed once into F(K), an exact polynomial in K.  The grid and F are
+    evaluated in integers: point i is (start + stride*i)/scale, and F there
+    is a numerator/denominator pair from integer Horner.  Only the square
+    root, taken of their correctly rounded int / int quotient, and the CSV
+    text are floating point.
     """
     if not 2 <= steps <= MAX_SCAN_STEPS:
         raise ValueError(f"steps must be between 2 and {MAX_SCAN_STEPS}")
     spec = deformation(d)
-    bound = [substitute(e, dict(bindings)) for e in braid_residual(spec).data]
-    f = sum((e * e for e in bound), ZERO)
+    bindings = dict(bindings)
+    rhat = build_rhat(spec).map(lambda e: substitute(e, bindings))
+    f = sum((e * e for e in _braid_defect(rhat).data), ZERO)
     free = [name for name in SYMBOLS if name != "K" and name in f.symbols()]
     if free:
         raise UnknownSymbolError(f"no value bound for {free[0]!r}")
     num, den = _k_coeffs(f.num), _k_coeffs(f.den)
     kmin, kmax = Fraction(kmin), Fraction(kmax)
+    scale = math.lcm(kmin.denominator, kmax.denominator)
+    start = kmin.numerator * (scale // kmin.denominator)
+    stride = kmax.numerator * (scale // kmax.denominator) - start
+    start *= steps - 1
+    scale *= steps - 1
     rows = []
     for i in range(steps):
-        kval = kmin + (kmax - kmin) * i / (steps - 1)
-        rows.append((kval, math.sqrt(_horner(num, kval) / _horner(den, kval))))
+        k = start + stride * i
+        fnum, fpow = _horner(num, k, scale)
+        fden, dpow = _horner(den, k, scale)
+        rows.append((Fraction(k, scale), math.sqrt(fnum * dpow / (fpow * fden))))
     lines = [f"{float(kval):.17g},{fro:.17g}\n" for kval, fro in rows]
     with open(out, "w") as fh:
         fh.write("K,residual_fro\n")
@@ -262,14 +273,14 @@ def _k_coeffs(p: Poly) -> list:
     return coeffs
 
 
-def _horner(coeffs: list, k: Fraction) -> Fraction:
-    """The polynomial at k = a/b, by Horner in integers on b^n p(a/b)."""
-    a, b = k.numerator, k.denominator
+def _horner(coeffs: list, a: int, b: int) -> tuple:
+    """The polynomial at a/b as an int pair (b^(n+1) p(a/b), b^(n+1)), n the
+    degree, by Horner in integers."""
     out, bpow = 0, 1
     for c in coeffs:
         out = out * a + c * bpow
         bpow *= b
-    return Fraction(out * b, bpow)
+    return out * b, bpow
 
 
 # -- verification registry ----------------------------------------------
@@ -594,6 +605,10 @@ def _do_plane(args) -> int:
     try:
         system = build_plane_system(args.deformation, args.K).rules
     except UnsupportedDeformation:
+        if args.K is not None:  # the pure rules have no K to set
+            sys.stderr.write(f"error: --K has no effect: {args.deformation} "
+                             "planes have only pure sectors\n")
+            return 2
         system = build_pure_system(args.deformation)
     except (DegenerateX, DivisionByZero, TypeError) as exc:
         sys.stderr.write(f"error: {exc}\n")

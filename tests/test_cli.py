@@ -384,6 +384,16 @@ def test_main_plane_system_pole_at_coupling(capsys):
     assert captured.err.startswith("error: ")
 
 
+def test_main_plane_qh_refuses_a_coupling(capsys):
+    # qh has only pure plane rules, and they do not depend on K
+    assert main(["plane", "--deformation", "qh", "--K", "1", "--expr", "x*eta"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "only pure sectors" in captured.err
+    assert main(["plane", "--deformation", "qh", "--expr", "x*eta"]) == 0
+    assert capsys.readouterr().out == "x*eta\n"
+
+
 def test_main_scan_missing_binding(tmp_path, capsys):
     code = main(["scan", "--deformation", "pq", "--p", "2",
                  "--kmin", "0", "--kmax", "1", "--steps", "3",
@@ -431,3 +441,61 @@ def test_main_plane_step_cap_is_a_usage_error(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and "rewrite steps" in captured.err
+
+
+_FUZZ_PARAMS = {"pq": ("p", "q"), "gh": ("g", "h"), "qh": ("q", "h")}
+
+
+def _fuzz_rational(rng, zero_share):
+    if rng.random() < zero_share:
+        return "0"
+    n, d = rng.randint(-6, 6) or 1, rng.randint(1, 4)
+    return f"{n}" if d == 1 else f"{n}/{d}"
+
+
+def _fuzz_expr(rng, letters, depth=0):
+    """A random expression over the --expr grammar with at most letters[0]
+    generator letters, so that normal-ordering stays small."""
+    def factor():
+        roll = rng.random()
+        if roll < 0.35 and letters[0] > 0:
+            letters[0] -= 1
+            return rng.choice(("x", "y", "xi", "eta", "a"))
+        if roll < 0.55:
+            return rng.choice(("K", "p", "q", "g", "h"))
+        if roll < 0.75 or depth > 2:
+            return _fuzz_rational(rng, 0.1).lstrip("-")
+        if roll < 0.85:
+            return "-" + factor()
+        if roll < 0.93:
+            return "(" + _fuzz_expr(rng, letters, depth + 1) + ")"
+        return factor() + "^" + str(rng.randint(0, 2))
+
+    def term():
+        return "".join([factor()] + [rng.choice("**/") + factor()
+                                     for _ in range(rng.randint(0, 2))])
+
+    return "".join([term()] + [rng.choice("+-") + term() for _ in range(rng.randint(0, 2))])
+
+
+def test_main_fuzz_exits_zero_or_with_a_usage_error(tmp_path, capsys):
+    # seeded, so a failing argv reproduces; about a second of runs
+    rng = random.Random(1206)
+    csv = str(tmp_path / "fuzz.csv")
+    for _ in range(250):
+        d = rng.choice(tuple(_FUZZ_PARAMS))
+        if rng.random() < 0.4:
+            argv = ["scan", "--deformation", d]
+            argv += [f"--{name}={_fuzz_rational(rng, 0.2)}" for name in _FUZZ_PARAMS[d]
+                     if rng.random() < 0.95]
+            argv += [f"--kmin={_fuzz_rational(rng, 0.2)}", f"--kmax={_fuzz_rational(rng, 0.2)}",
+                     "--steps", str(rng.randint(2, 50)), "--csv", csv]
+        else:
+            argv = ["plane", "--deformation", d]
+            if rng.random() < 0.6:
+                argv.append(f"--K={_fuzz_rational(rng, 0.2)}")
+            # symbolic K makes long words slow, so it gets fewer letters
+            argv.append(f"--expr={_fuzz_expr(rng, [3 if len(argv) == 4 else 2])}")
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 0 or (code == 2 and captured.err.startswith("error: ")), (argv, captured)

@@ -1,0 +1,122 @@
+"""Differential test of the integer scan against the Fraction scan kept in
+ref_scan.py.
+
+Both scans must return equal rows (``==``, every K a Fraction) and write
+byte-identical CSV files, or raise the same exception class with the same
+message and write no CSV."""
+
+import random
+from fractions import Fraction
+
+import pytest
+import ref_scan as ref
+
+from mbraid.cli import _horner, run_scan
+from mbraid.scalars import DivisionByZero, UnknownSymbolError
+
+F = Fraction
+PARAMS = {"pq": ("p", "q"), "gh": ("g", "h"), "qh": ("q", "h")}
+DEFAULTS = {"pq": (F(7, 3), F(-5, 2)), "gh": (F(1), F(2)), "qh": (F(3), F(1, 2))}
+SPECIAL = (F(0), F(1), F(-1), F(-1, 2), F(-7, 3))
+
+
+def _outcome(scan, args, path):
+    """(rows, CSV bytes), or (exception class, message, whether a CSV exists)."""
+    if path.exists():
+        path.unlink()
+    try:
+        rows = scan(*args, str(path))
+    except Exception as exc:
+        return type(exc), str(exc), path.exists()
+    return rows, path.read_bytes()
+
+
+def _same(tmp_path, d, bindings, kmin, kmax, steps):
+    args = (d, bindings, kmin, kmax, steps)
+    got = _outcome(run_scan, args, tmp_path / "int.csv")
+    want = _outcome(ref.run_scan, args, tmp_path / "ref.csv")
+    assert got == want, args
+    if isinstance(got[0], list):
+        assert len(got[0]) == steps
+        assert all(type(k) is Fraction for k, _ in got[0]), args
+    return got
+
+
+def test_horner_pair_matches_reference():
+    # a factor common to every evaluation cancels from F = num/den in a scan,
+    # so the pair is checked on its own
+    rng = random.Random(1208)
+    for _ in range(300):
+        coeffs = [rng.randint(-50, 50) for _ in range(rng.randint(0, 8))]
+        a, b = rng.randint(-99, 99), rng.randint(1, 30)
+        num, den = _horner(coeffs, a, b)
+        assert type(num) is int and type(den) is int and den > 0
+        assert Fraction(num, den) == ref._horner(coeffs, Fraction(a, b)), (coeffs, a, b)
+
+
+def _defaults(d):
+    return dict(zip(PARAMS[d], DEFAULTS[d]))
+
+
+@pytest.mark.parametrize("d", PARAMS)
+def test_scan_matches_reference_at_special_bindings(tmp_path, d):
+    for name in PARAMS[d]:
+        for value in SPECIAL:
+            bindings = {**_defaults(d), name: value}
+            got = _same(tmp_path, d, bindings, F(-3), F(5, 2), 23)
+            if d == "pq" and name == "p" and value == 0:
+                assert got[0] is DivisionByZero
+            else:
+                assert isinstance(got[0], list), (name, value)
+
+
+@pytest.mark.parametrize("d", PARAMS)
+def test_scan_matches_reference_on_grids(tmp_path, d):
+    bindings = _defaults(d)
+    for kmin, kmax, steps in [(F(-3), F(5, 2), 1001),  # the acceptance grid
+                              (F(5, 2), F(-3), 17),    # descending
+                              (F(2, 3), F(2, 3), 5),   # a single point
+                              (F(-1, 6), F(3, 4), 2),
+                              (0, 2, 41),              # int endpoints, as the goldens
+                              (F(1, 7), F(22, 7), 50)]:
+        _same(tmp_path, d, bindings, kmin, kmax, steps)
+
+
+def test_scan_matches_reference_on_failures(tmp_path):
+    for d, (first, second) in PARAMS.items():
+        got = _same(tmp_path, d, {first: F(2)}, 0, 1, 3)
+        assert got == (UnknownSymbolError, f"no value bound for {second!r}", False)
+        got = _same(tmp_path, d, {second: F(2)}, 0, 1, 3)
+        assert got[0] is UnknownSymbolError
+    # a huge endpoint overflows the float conversion before the CSV is opened
+    got = _same(tmp_path, "pq", _defaults("pq"), 0, F(10) ** 60, 3)
+    assert got[0] is OverflowError and got[2] is False
+    for steps in (1, 100_001):
+        assert _same(tmp_path, "gh", _defaults("gh"), 0, 1, steps)[0] is ValueError
+
+
+def test_scan_matches_reference_with_a_bound_coupling(tmp_path):
+    # a K binding leaves F constant in K, and zero at the braid coupling
+    rows, _ = _same(tmp_path, "gh", {**_defaults("gh"), "K": F(1)}, 0, 2, 5)
+    assert all(fro == 0.0 for _, fro in rows)
+    rows, _ = _same(tmp_path, "gh", {**_defaults("gh"), "K": F(2)}, 0, 2, 5)
+    assert len({fro for _, fro in rows}) == 1 and rows[0][1] > 0
+
+
+def test_scan_matches_reference_through_the_gh_coupling(tmp_path):
+    # K1 = K2 = 1 for gh: the defect vanishes to second order there
+    rows, _ = _same(tmp_path, "gh", {"g": F(1), "h": F(1)}, F(-1), F(3), 9)
+    assert rows[4] == (F(1), 0.0)
+    assert all(fro > 0 for k, fro in rows if k not in (0, 1))
+
+
+def test_scan_matches_reference_on_seeded_cases(tmp_path):
+    rng = random.Random(1207)
+
+    def value():
+        return F(rng.randint(-9, 9), rng.randint(1, 5))
+
+    for _ in range(24):
+        d = rng.choice(tuple(PARAMS))
+        bindings = {name: value() for name in PARAMS[d]}
+        _same(tmp_path, d, bindings, value(), value(), rng.randint(2, 60))
