@@ -17,7 +17,13 @@ Fast paths skip work whose result is already known, and return an operand
 that is already normal: a product with a zero operand returns that zero, a
 product with an operand that is exactly 1 returns the other operand, and a
 sum or difference with a zero operand returns the other operand (negated
-for ``0 - x``).
+for ``0 - x``).  When both operands are polynomials (denominator 1), a
+product, sum or difference combines the numerators only: a polynomial with
+int coefficients over 1 is already in weak normal form, so the result is
+wrapped without multiplying the denominators or renormalizing.  Negation
+never renormalizes, because negating the numerator keeps the content, the
+common monomial factor and the sign of the denominator.  A fast-path result
+has the same terms, in the same order, as normalization would give.
 
 Multivariate gcd cancellation is deliberately not attempted, so two equal
 values may have different representations; equality always goes through
@@ -236,6 +242,17 @@ class RatFunc:
     def __init__(self, num: Poly, den: Poly = _POLY_ONE):
         self.num, self.den = _normalized(num, den)
 
+    @classmethod
+    def _normal(cls, num: Poly, den: Poly = _POLY_ONE) -> "RatFunc":
+        """num/den, which must already be in weak normal form, without
+        renormalizing.  A zero num gives (0, 1), as normalization does."""
+        out = object.__new__(cls)
+        if num.terms:
+            out.num, out.den = num, den
+        else:
+            out.num, out.den = _POLY_ZERO, _POLY_ONE
+        return out
+
     def is_zero(self) -> bool:
         return not self.num.terms
 
@@ -261,6 +278,8 @@ class RatFunc:
         if not self.num.terms:
             return o
         if self.den.terms == o.den.terms:
+            if self.den.terms == _UNIT_TERMS:
+                return RatFunc._normal(self.num + o.num)
             return RatFunc(self.num + o.num, self.den)
         return RatFunc(self.num * o.den + o.num * self.den, self.den * o.den)
 
@@ -275,6 +294,8 @@ class RatFunc:
         if not self.num.terms:
             return -o
         if self.den.terms == o.den.terms:
+            if self.den.terms == _UNIT_TERMS:
+                return RatFunc._normal(self.num - o.num)
             return RatFunc(self.num - o.num, self.den)
         return RatFunc(self.num * o.den - o.num * self.den, self.den * o.den)
 
@@ -285,7 +306,7 @@ class RatFunc:
         return o - self
 
     def __neg__(self):
-        return RatFunc(-self.num, self.den)
+        return RatFunc._normal(-self.num, self.den)
 
     def __mul__(self, other):
         o = as_ratfunc(other)
@@ -299,6 +320,8 @@ class RatFunc:
             return o
         if o.num.terms == _UNIT_TERMS and o.den.terms == _UNIT_TERMS:
             return self
+        if self.den.terms == _UNIT_TERMS and o.den.terms == _UNIT_TERMS:
+            return RatFunc._normal(self.num * o.num)
         return RatFunc(self.num * o.num, self.den * o.den)
 
     __rmul__ = __mul__

@@ -8,7 +8,9 @@ from fractions import Fraction
 import pytest
 import ref_scalars as ref
 
-from mbraid.scalars import ONE, DivisionByZero, Poly, RatFunc
+from mbraid import scalars
+from mbraid.scalars import (_POLY_ONE, _POLY_ZERO, ONE, DivisionByZero, Poly,
+                            RatFunc, _normalized)
 
 NVARS = 6
 # per seed
@@ -52,12 +54,21 @@ def _ref_str(x):
     return f"({Poly(x.num.terms)})/({Poly(x.den.terms)})"
 
 
+def _terms_list(num, den):
+    return list(num.terms.items()), list(den.terms.items())
+
+
 def _assert_same(lib, want):
-    assert lib.num.terms == want.num.terms
-    assert lib.den.terms == want.den.terms
+    """Same representation, with the terms in the same insertion order, and
+    already normal: normalizing the result again changes nothing."""
+    assert _terms_list(lib.num, lib.den) == _terms_list(want.num, want.den)
+    assert _terms_list(*_normalized(lib.num, lib.den)) == _terms_list(lib.num, lib.den)
     assert str(lib) == _ref_str(want)
     for c in (*lib.num.terms.values(), *lib.den.terms.values()):
         assert type(c) is int, (lib, c)
+    if lib.is_zero():
+        # normalization gives every zero the shared (0, 1) pair
+        assert lib.num is _POLY_ZERO and lib.den is _POLY_ONE
 
 
 OPS = [operator.add, operator.sub, operator.mul, operator.truediv]
@@ -126,3 +137,82 @@ def test_product_with_one_keeps_representation():
         assert got.num.terms == x.num.terms
         assert got.den.terms == x.den.terms
         assert str(got) == str(x) == "(K)/(6*p - 2)"
+
+
+def _random_poly_pair(rng):
+    """A random polynomial (denominator 1) as (library RatFunc, reference RatFunc)."""
+    terms = {m: Fraction(c.numerator) for m, c in _random_terms(rng, rng.randint(1, 4)).items()}
+    return (RatFunc(Poly({m: int(c) for m, c in terms.items()})),
+            ref.RatFunc(ref.Poly(dict(terms))))
+
+
+def _edge_pairs():
+    """Values whose products normalize only because of a common monomial
+    factor or a common content: K and 6p over 1, 1/(3K) and p/(2p + 4)."""
+    mono = {"1": (0,) * NVARS, "K": (1, 0, 0, 0, 0, 0), "p": (0, 1, 0, 0, 0, 0)}
+    cases = [({mono["K"]: 1}, {mono["1"]: 1}),
+             ({mono["p"]: 6}, {mono["1"]: 1}),
+             ({mono["1"]: 1}, {mono["K"]: 3}),
+             ({mono["p"]: 1}, {mono["p"]: 2, mono["1"]: 4})]
+    return [(RatFunc(Poly(dict(n)), Poly(dict(d))),
+             ref.RatFunc(ref.Poly({m: Fraction(c) for m, c in n.items()}),
+                         ref.Poly({m: Fraction(c) for m, c in d.items()})))
+            for n, d in cases]
+
+
+POLY_OPS = [operator.add, operator.sub, operator.mul]
+
+
+@pytest.mark.parametrize("seed", [3, 4])
+def test_polynomial_fast_path_matches_fraction_reference(seed):
+    rng = random.Random(seed)
+    polys = [_random_poly_pair(rng) for _ in range(60)]
+    edges = _edge_pairs()
+    pool = polys + [_random_pair(rng) for _ in range(30)] + edges
+    for lib, want in pool:
+        _assert_same(lib, want)
+    # sums and differences that cancel to zero, wholly or in part
+    for (x, rx), (y, ry) in zip(polys, polys[1:]):
+        _assert_same(x - x, rx - rx)
+        _assert_same(x + -x, rx + -rx)
+        _assert_same(x + (y - x), rx + (ry - rx))
+        _assert_same(-(x - x), -(rx - rx))
+    for (x, rx), (y, ry) in ((a, b) for a in edges for b in pool):
+        for op in POLY_OPS:
+            _assert_same(op(x, y), op(rx, ry))
+            _assert_same(op(y, x), op(ry, rx))
+    for _ in range(OPERATIONS):
+        # mostly polynomial operands, so most operations take the fast path
+        (x, rx) = rng.choice(polys if rng.random() < 0.8 else pool)
+        (y, ry) = rng.choice(polys if rng.random() < 0.8 else pool)
+        if rng.random() < 0.2:
+            got, want = -x, -rx
+        else:
+            op = rng.choice(POLY_OPS)
+            got, want = op(x, y), op(rx, ry)
+        _assert_same(got, want)
+        if len(got.num.terms) + len(got.den.terms) <= MAX_TERMS:
+            pool.append((got, want))
+            if got.den.terms == {(0,) * NVARS: 1}:
+                polys.append((got, want))
+
+
+def test_polynomial_fast_path_skips_normalization(monkeypatch):
+    calls = []
+
+    def counting(num, den):
+        calls.append(1)
+        return _normalized(num, den)
+
+    monkeypatch.setattr(scalars, "_normalized", counting)
+    k, p = scalars.sym("K"), scalars.sym("p")
+    x, y = k * k + 2 * p, k - 3 * p
+    rational = RatFunc(Poly({(1, 0, 0, 0, 0, 0): 1}), Poly({(0, 1, 0, 0, 0, 0): 2,
+                                                           (0, 0, 0, 0, 0, 0): 1}))
+    calls.clear()
+    _ = (x * y, x + y, x - y, x - x, -x, -rational)
+    assert calls == []
+    _ = x * rational
+    assert len(calls) == 1
+    _ = x + rational
+    assert len(calls) == 2
