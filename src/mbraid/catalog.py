@@ -54,6 +54,12 @@ def deformation(d) -> DeformationSpec:
     return spec
 
 
+def braid_couplings(d) -> tuple:
+    """The distinct braid couplings: (K1,) when K1 = K2, else (K1, K2)."""
+    spec = deformation(d)
+    return (spec.K1,) if spec.K1 == spec.K2 else (spec.K1, spec.K2)
+
+
 def _coupling(k) -> RatFunc:
     if k is None:
         return sym("K")

@@ -1,6 +1,6 @@
-"""Command-line front end: verification suites, the RTT solver, a numeric
-coupling scan with CSV output, and expression normal-ordering behind a small
-exact parser.
+"""Command-line front end: argparse and the verbs, ``run_verify`` over the
+check registry in ``checks``, the RTT solver, a numeric coupling scan with
+CSV output, and expression normal-ordering behind a small exact parser.
 
 Output discipline: all arithmetic is exact; decimals appear only in the scan
 CSV, produced at the last moment with 17 significant digits so identical
@@ -16,26 +16,16 @@ import math
 import sys
 from fractions import Fraction
 
-from .catalog import (DEFORMATIONS, DegenerateX, build_M, build_r, build_rhat,
-                      deformation, hecke_X, kprime, projectors, triangular_K)
-from .contraction import (contract_group_relations, contract_matrix,
-                          contract_plane, frame)
-from .identities import (DegenerateValues, _braid_defect,
-                         affine_decomposition, baxterization_check,
-                         braid_divisibility, braid_residual, mbe_factor,
-                         mbe_r_form, mbe_residual, s_shift_check)
-from .ncalgebra import (NCPoly, StepCapExceeded, build_group_system,
-                        critical_pairs, normal_order, termination_order)
-from .plane import (UnsupportedDeformation, build_plane_system,
-                    build_pure_system, phi_commutators, phi_nilpotent,
-                    projector_consistency, pure_sector_consistency)
-from .pmatrix import ParamMatrix, flip21, inverse
-from .rtt import SpanMismatch, rtt_residual, solve_family
+from .catalog import DEFORMATIONS, DegenerateX, build_rhat, deformation
+from .checks import registered_checks
+from .identities import _braid_defect
+from .ncalgebra import GROUP, PLANE, NCPoly, StepCapExceeded, normal_order
+from .plane import UnsupportedDeformation, build_plane_system, build_pure_system
+from .rtt import SpanMismatch, solve_family
 from .scalars import (ONE, SYMBOLS, ZERO, DivisionByZero, Poly,
-                      UnknownSymbolError, limit_u0, substitute, sym,
-                      vanishes_at_sqrt)
+                      UnknownSymbolError, substitute, sym)
 
-NONCOMMUTING = ("a", "b", "c", "d", "x", "y", "xi", "eta")
+NONCOMMUTING = GROUP + PLANE
 COMMUTING = ("K", "p", "q", "g", "h")
 
 MAX_EXPONENT = 1000
@@ -43,10 +33,6 @@ MAX_WORD = 1000
 MAX_TERMS = 10_000
 MAX_SCAN_STEPS = 100_000
 MAX_DEPTH = 100
-
-
-class UnknownSymbol(ValueError):
-    """An identifier outside the grammar's alphabet."""
 
 
 # -- expression grammar -------------------------------------------------
@@ -190,7 +176,7 @@ class _Parser:
             elif text in NONCOMMUTING:
                 out = NCPoly.gen(text)
             else:
-                raise UnknownSymbol(f"unknown symbol {text!r} at offset {offset}")
+                raise UnknownSymbolError(f"unknown symbol {text!r} at offset {offset}")
         elif kind == "(":
             self.take()
             out = self.expr()
@@ -283,193 +269,7 @@ def _horner(coeffs: list, a: int, b: int) -> tuple:
     return out * b, bpow
 
 
-# -- verification registry ----------------------------------------------
-
-def _check_rhat_affine(d):
-    at0 = build_rhat(d, 0)
-    slope = build_rhat(d, 1) - at0
-    ok = (at0 == ParamMatrix.identity(4)
-          and build_rhat(d) == at0 + slope.scale(sym("K")))
-    return ok, "Rhat(0) = I and Rhat affine in K"
-
-
-def _check_hecke(d):
-    rhat = build_rhat(d)
-    x = hecke_X(d)
-    ident = ParamMatrix.identity(4)
-    ok = rhat @ rhat == rhat.scale(x) + ident.scale(1 - x)
-    return ok, "Rhat^2 = X Rhat + (1 - X) I"
-
-
-def _check_projectors(d):
-    p1, p2 = projectors(d)
-    ident = ParamMatrix.identity(4)
-    x = hecke_X(d)
-    ok = (p1 @ p1 == p1 and p2 @ p2 == p2
-          and (p1 @ p2).is_zero() and p1 + p2 == ident
-          and build_rhat(d) == p1.scale(x - 1) + p2)
-    return ok, "idempotent, orthogonal, complete; Rhat = (X-1)P1 + P2"
-
-
-def _check_rtt_residual(d):
-    cells = rtt_residual(build_r(d), build_group_system(d))
-    ok = all(cell.is_zero() for row in cells for cell in row)
-    return ok, "16 cells of R.T1T2 - T2T1.R normal-order to 0"
-
-
-def _check_rtt_span(d):
-    try:
-        mats = solve_family(d)
-    except SpanMismatch as exc:
-        return False, str(exc)
-    return len(mats) == 2, f"nullspace dimension {len(mats)}, catalog in span"
-
-
-def _check_mbe(d):
-    return mbe_residual(d).is_zero(), f"defect factor {mbe_factor(d)}"
-
-
-def _check_mbe_r_form(d):
-    return mbe_r_form(d).is_zero(), "R-form defect identity holds"
-
-
-def _check_braid_values(d):
-    spec = deformation(d)
-    ok = (braid_residual(spec, spec.K1).is_zero()
-          and braid_residual(spec, spec.K2).is_zero()
-          and braid_divisibility(spec))
-    return ok, f"B = 0 at K1 = {spec.K1}, K2 = {spec.K2}; (K-K1)(K-K2) divides B"
-
-
-def _check_flip_inverse(d):
-    spec = deformation(d)
-    kp = kprime(spec)
-    ident = ParamMatrix.identity(4)
-    kstar = triangular_K(spec)
-    rstar = build_rhat(spec, kstar)
-    ok = (flip21(build_r(spec)) @ build_r(spec, kp) == ident
-          and kprime(spec, kp) == sym("K")
-          and rstar @ rstar == ident)
-    return ok, f"(21)R(K).R(K') = I, K'' = K, Rhat^2 = I at K* = {kstar}"
-
-
-def _check_m_factorization(_):
-    m, rho = build_M()
-    defect = inverse(flip21(m)) @ m - build_r("pq", triangular_K("pq"))
-    ok = all(vanishes_at_sqrt(e, rho) for e in defect.data)
-    return ok, "inverse((21)M).M = R(K*) with s^2 = 2pq/(p+q)"
-
-
-def _check_affine_decomposition(d):
-    spec = deformation(d)
-    try:
-        c1, c2 = affine_decomposition(spec)
-    except DegenerateValues as exc:
-        ok = spec.id == "gh"
-        return ok, f"degenerate as required: {exc}" if ok else str(exc)
-    built = build_rhat(spec, spec.K1).scale(c1) + build_rhat(spec, spec.K2).scale(c2)
-    ok = (c1 + c2 == ONE) and built == build_rhat(spec)
-    return ok, f"Rhat(K) = ({c1}) Rhat(K1) + ({c2}) Rhat(K2)"
-
-
-def _check_s_shift(d):
-    return s_shift_check(d), "shifted braid defect factors; exact root restores the braid"
-
-
-def _check_baxterization(d):
-    return baxterization_check(d), "affine family through both braid couplings"
-
-
-def _check_pure_sectors(d):
-    return pure_sector_consistency(d), "projector constraints on pure sectors"
-
-
-def _check_projector_consistency(d):
-    if d == "qh":
-        return projector_consistency("qh"), "pure sectors only (no mixed calculus)"
-    return projector_consistency(build_plane_system(d)), "pure and mixed sectors"
-
-
-def _check_phi_nilpotent(d):
-    return phi_nilpotent(build_plane_system(d)), "Phi^2 normal-orders to 0"
-
-
-def _check_phi_commutators(d):
-    return phi_commutators(build_plane_system(d)), "all four coordinate/differential pairs"
-
-
-def _check_diamond(d):
-    spec = deformation(d)
-    couplings = [spec.K1] + ([] if spec.K2 == spec.K1 else [spec.K2])
-    for k in couplings:
-        # a termination order plus resolved overlaps is confluence at every degree
-        system = build_plane_system(spec, k).rules
-        if termination_order(system) is None:
-            return False, f"no termination order at K = {k}"
-        unresolved = critical_pairs(system)
-        if unresolved:
-            word = "*".join(unresolved[0][0])
-            return False, f"{len(unresolved)} unresolved overlaps at K = {k}; first {word}"
-    return True, "no overlap violations to degree 4 at the braid couplings"
-
-
-def _check_contraction_curve(_):
-    g, h, u = sym("g"), sym("h"), sym("u")
-    p, q = sym("p"), sym("q")
-    fr = frame()
-    subs = {n: v for n, v in fr.substitutions.items() if n in ("p", "q")}
-    om = ONE / u
-    ok = (substitute((1 - p) * om, subs) == g
-          and substitute((q - 1) * om, subs) == h
-          and limit_u0(substitute((1 / p - q) * om, subs)) == g - h
-          and limit_u0(substitute((p * q - 1) * om, subs)) == h - g)
-    return ok, "(1-p)w = g, (q-1)w = h exactly; difference combinations converge"
-
-
-def _check_contraction_matrix(_):
-    return contract_matrix() == build_r("gh"), "conjugated R(K;p,q) contracts onto R(K;g,h)"
-
-
-def _check_contraction_group(_):
-    return contract_group_relations(), "all six group relations emerge from the limit"
-
-
-def _check_contraction_plane(_):
-    return contract_plane(), "plane relations and Phi1 -> Phi2 emerge from the limit"
-
-
-def registered_checks() -> list:
-    """(scope, name, deformation, callable) for every verification line."""
-    out = []
-    for d in DEFORMATIONS:
-        out.append(("catalog", "rhat-affine", d, _check_rhat_affine))
-        out.append(("catalog", "hecke", d, _check_hecke))
-        out.append(("catalog", "projectors", d, _check_projectors))
-    for d in DEFORMATIONS:
-        out.append(("rtt", "residual", d, _check_rtt_residual))
-        out.append(("rtt", "solver-span", d, _check_rtt_span))
-    for d in DEFORMATIONS:
-        out.append(("identities", "mbe", d, _check_mbe))
-        out.append(("identities", "mbe-r-form", d, _check_mbe_r_form))
-        out.append(("identities", "braid-values", d, _check_braid_values))
-        out.append(("identities", "flip-inverse", d, _check_flip_inverse))
-        out.append(("identities", "affine-decomposition", d, _check_affine_decomposition))
-        out.append(("identities", "s-shift", d, _check_s_shift))
-        out.append(("identities", "baxterization", d, _check_baxterization))
-    out.append(("identities", "m-factorization", "pq", _check_m_factorization))
-    for d in DEFORMATIONS:
-        out.append(("plane", "pure-sectors", d, _check_pure_sectors))
-        out.append(("plane", "projector-consistency", d, _check_projector_consistency))
-    for d in ("pq", "gh"):
-        out.append(("plane", "phi-nilpotent", d, _check_phi_nilpotent))
-        out.append(("plane", "phi-commutators", d, _check_phi_commutators))
-        out.append(("plane", "diamond-at-couplings", d, _check_diamond))
-    out.append(("contraction", "curve", None, _check_contraction_curve))
-    out.append(("contraction", "matrix", None, _check_contraction_matrix))
-    out.append(("contraction", "group-relations", None, _check_contraction_group))
-    out.append(("contraction", "plane", None, _check_contraction_plane))
-    return out
-
+# -- verification --------------------------------------------------------
 
 def run_verify(scope: str = "all", json_out: bool = False, stream=None) -> int:
     stream = sys.stdout if stream is None else stream
@@ -594,11 +394,11 @@ def _do_scan(args) -> int:
 def _do_plane(args) -> int:
     try:
         expr = parse_expression(args.expr)
-    except (SyntaxError, UnknownSymbol, DivisionByZero) as exc:
+    except (SyntaxError, UnknownSymbolError, DivisionByZero) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     bad = sorted({letter for word in expr.coeffs for letter in word
-                  if letter not in ("x", "y", "xi", "eta")})
+                  if letter not in PLANE})
     if bad:
         sys.stderr.write(f"error: not plane generators: {', '.join(bad)}\n")
         return 2

@@ -163,39 +163,29 @@ def _contract_defect(defect, tilde_system, fr) -> NCPoly:
     return subbed.map_coeffs(limit_u0)
 
 
+def _relations_emerge(gh_system, tilde_system, fr) -> bool:
+    """Every rule of a nonstandard system, in tilde letters, contracts to 0
+    modulo the transported two-parameter relations."""
+    for lhs, rule in gh_system.by_lhs.items():
+        defect = (NCPoly.from_word(tuple(TILDE_OF[n] for n in lhs))
+                  - _tilde_rename(rule.rhs))
+        if not _contract_defect(defect, tilde_system, fr).is_zero():
+            return False
+    return True
+
+
 def contract_group_relations() -> bool:
     """Every nonstandard group relation emerges from the two-parameter
     algebra along the contraction curve."""
-    fr = frame()
-    tilde = group_tilde_system()
-    gh = build_group_system("gh")
-    for lhs, rule in gh.by_lhs.items():
-        defect = (NCPoly.from_word(tuple(TILDE_OF[n] for n in lhs))
-                  - _tilde_rename(rule.rhs))
-        if not _contract_defect(defect, tilde, fr).is_zero():
-            return False
-    return True
+    return _relations_emerge(build_group_system("gh"), group_tilde_system(), frame())
 
 
 def contract_plane() -> bool:
     """The nonstandard plane relations and the nilpotent combination emerge
     from the two-parameter plane: coordinates, differentials, and Phi."""
     fr = frame()
-    tilde = plane_tilde_system()
-    g, h = sym("g"), sym("h")
-
-    def w(*names):
-        return NCPoly.from_word(tuple(names))
-
-    defects = [
-        w("x_t", "y_t") - w("y_t", "x_t") - w("y_t", "y_t").scale(g),
-        w("xi_t", "xi_t") - w("xi_t", "eta_t").scale(h),
-        w("eta_t", "eta_t"),
-        w("xi_t", "eta_t") + w("eta_t", "xi_t"),
-    ]
-    for defect in defects:
-        if not _contract_defect(defect, tilde, fr).is_zero():
-            return False
+    if not _relations_emerge(build_pure_system("gh"), plane_tilde_system(), fr):
+        return False
     _, _, _, to_tilde = _generator_maps()
     phi1_tilde = change_of_basis(phi_poly("pq"), to_tilde)
     subbed = phi1_tilde.map_coeffs(lambda cf: substitute(cf, _pq_subs(fr)))

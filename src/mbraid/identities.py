@@ -20,7 +20,7 @@ R = P.Rhat using permutation operators.
 
 from __future__ import annotations
 
-from .catalog import build_r, build_rhat, deformation, hecke_X
+from .catalog import braid_couplings, build_r, build_rhat, deformation, hecke_X
 from .pmatrix import ParamMatrix, embed12, embed23, perm_operator
 from .scalars import RatFunc, poly_divmod_in, sym
 
@@ -48,14 +48,14 @@ def braid_residual(d, k=None) -> ParamMatrix:
     return _braid_defect(build_rhat(d, k))
 
 
-def mbe_residual(d, k=None) -> ParamMatrix:
+def mbe_residual(d) -> ParamMatrix:
     """B(K) - lam(K) (Rhat12 - Rhat23); identically zero for the catalog."""
-    rhat = build_rhat(d, k)
-    lam = mbe_factor(d, k)
+    rhat = build_rhat(d)
+    lam = mbe_factor(d)
     return _braid_defect(rhat) - (embed12(rhat) - embed23(rhat)).scale(lam)
 
 
-def mbe_r_form(d, k=None) -> ParamMatrix:
+def mbe_r_form(d) -> ParamMatrix:
     """The same defect equation for R = P.Rhat:
 
         R12 R13 R23 - R23 R13 R12 = lam (P(132) R23 - P(123) R12)
@@ -63,12 +63,12 @@ def mbe_r_form(d, k=None) -> ParamMatrix:
     with R13 the conjugate of R12 by the (2 3) factor swap and the cycles in
     one-line notation (123) = (2,3,1), (132) = (3,1,2).  Returns lhs - rhs.
     """
-    r = build_r(d, k)
+    r = build_r(d)
     r12 = embed12(r)
     r23 = embed23(r)
     p23 = perm_operator((1, 3, 2))
     r13 = p23 @ r12 @ p23
-    lam = mbe_factor(d, k)
+    lam = mbe_factor(d)
     lhs = r12 @ r13 @ r23 - r23 @ r13 @ r12
     rhs = (perm_operator((3, 1, 2)) @ r23 - perm_operator((2, 3, 1)) @ r12).scale(lam)
     return lhs - rhs
@@ -79,8 +79,6 @@ def braid_divisibility(d) -> bool:
     spec = deformation(d)
     k = sym("K")
     divisor = (k - spec.K1) * (k - spec.K2)
-    if "K" in divisor.den.symbols():
-        return False
     b = braid_residual(spec)
     for e in b.data:
         if e.is_zero():
@@ -108,17 +106,18 @@ def s_shift_check(d) -> bool:
     coeff = mu * mu - hecke_X(spec) * mu + mbe_factor(spec)
     s = rhat - ident.scale(mu)
     shifted = _braid_defect(s) - (embed12(s) - embed23(s)).scale(coeff)
-    r1, r2 = 1 - sym("K") / spec.K1, 1 - sym("K") / spec.K2
-    roots = [r1] if r1 == r2 else [r1, r2]  # K1 = K2 for gh
-    return (shifted.is_zero() and coeff == (mu - r1) * (mu - r2)
-            and all(_braid_defect(rhat - ident.scale(root)).is_zero() for root in roots))
+    k = sym("K")
+    factored = (mu - 1 + k / spec.K1) * (mu - 1 + k / spec.K2)
+    return (shifted.is_zero() and coeff == factored
+            and all(_braid_defect(rhat - ident.scale(1 - k / ki)).is_zero()
+                    for ki in braid_couplings(spec)))
 
 
-def affine_decomposition(d, k=None):
+def affine_decomposition(d):
     """Coefficients (c1, c2), c1 + c2 = 1, with
     Rhat(K) = c1 Rhat(K1) + c2 Rhat(K2).  Degenerate when K1 = K2."""
     spec = deformation(d)
-    k = sym("K") if k is None else k
+    k = sym("K")
     if (spec.K2 - spec.K1).is_zero():
         raise DegenerateValues(f"{spec.id}: K1 = K2 = {spec.K1}")
     c1 = (spec.K2 - k) / (spec.K2 - spec.K1)
@@ -127,12 +126,13 @@ def affine_decomposition(d, k=None):
 
 
 def baxterization_check(d, k=None) -> bool:
-    """Rhat(K) = (K/Ki) Rhat(Ki) - (K/Ki - 1) I for both degeneracy points."""
+    """Rhat(K) = (K/Ki) Rhat(Ki) - (K/Ki - 1) I at each distinct degeneracy
+    point."""
     spec = deformation(d)
     k = sym("K") if k is None else k
     rhat = build_rhat(spec, k)
     ident = ParamMatrix.identity(4)
-    for ki in (spec.K1, spec.K2):
+    for ki in braid_couplings(spec):
         built = build_rhat(spec, ki).scale(k / ki) - ident.scale(k / ki - 1)
         if rhat != built:
             return False

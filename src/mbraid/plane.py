@@ -23,9 +23,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .catalog import build_rhat, deformation, hecke_X, projectors
+from .catalog import _coupling, build_rhat, deformation, hecke_X, projectors
 from .ncalgebra import PLANE, NCPoly, RewriteRule, RewriteSystem, normal_order
-from .scalars import ONE, RatFunc, as_ratfunc, sym
+from .scalars import ONE, RatFunc, sym
 
 _STEP_CAP = 20000
 
@@ -98,12 +98,7 @@ def build_plane_system(d, k=None) -> PlaneSystem:
     if spec.id not in ("pq", "gh"):
         raise UnsupportedDeformation(
             f"{spec.id}: mixed plane rules are defined for pq and gh only")
-    if k is None:
-        k = sym("K")
-    else:
-        k = as_ratfunc(k)
-        if k is None:
-            raise TypeError("coupling must be a scalar")
+    k = _coupling(k)
     one_minus_X = 1 - hecke_X(spec, k)
     c = ONE / one_minus_X
     p, q, h = sym("p"), sym("q"), sym("h")

@@ -11,11 +11,11 @@ from types import SimpleNamespace
 import pytest
 
 import mbraid
+import mbraid.checks as checks
 import mbraid.cli as cli
 from mbraid.catalog import build_M, build_r, build_rhat, deformation
-from mbraid.cli import (MAX_DEPTH, UnknownSymbol, _rational, main,
-                        parse_expression, registered_checks, run_scan,
-                        run_verify)
+from mbraid.cli import (MAX_DEPTH, _rational, main, parse_expression,
+                        registered_checks, run_scan, run_verify)
 from mbraid.identities import braid_residual
 from mbraid.ncalgebra import NCPoly, RewriteRule, RewriteSystem
 from mbraid.pmatrix import ParamMatrix
@@ -31,12 +31,17 @@ def test_public_names_resolve():
         assert hasattr(mbraid, name), name
 
 
-def test_bench_entry_points_resolve():
-    # the traced benchmark run wraps these names; a rename must fail here too
+def _bench_tracer():
     path = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
     spec = importlib.util.spec_from_file_location("bench_tracer", path)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
+    return tracer
+
+
+def test_bench_entry_points_resolve():
+    # the traced benchmark run wraps these names; a rename must fail here too
+    tracer = _bench_tracer()
     for entries in tracer.FUNCTIONS.values():
         for module, name in entries:
             assert hasattr(importlib.import_module(f"mbraid.{module}"), name), (module, name)
@@ -46,6 +51,20 @@ def test_bench_entry_points_resolve():
     # bench/worker.py calls these directly
     for name in ("registered_checks", "run_verify", "run_scan", "parse_expression"):
         assert callable(getattr(cli, name)), name
+
+
+def test_traced_verify_records_one_span_per_check():
+    # the tracer wraps cli.registered_checks, so verify must look it up there
+    tracer = _bench_tracer().Tracer()
+    tracer.install()
+    try:
+        assert cli.run_verify("all", stream=io.StringIO()) == 0
+    finally:
+        tracer.uninstall()
+    spans = {name: n for name, n in tracer.summary().items()
+             if name.startswith("check.") and name.endswith(".calls")}
+    assert spans == {f"check.{scope}.{name}.{d or 'none'}.calls": 1
+                     for scope, name, d, _ in registered_checks()}
 
 
 def test_parse_phi_definition():
@@ -78,7 +97,7 @@ def test_parse_syntax_error_carries_position():
 
 
 def test_parse_rejects_unknown_symbols_and_bad_powers():
-    with pytest.raises(UnknownSymbol):
+    with pytest.raises(UnknownSymbolError):
         parse_expression("x*z")
     with pytest.raises(SyntaxError):
         parse_expression("x^(1/2)")
@@ -270,37 +289,37 @@ def test_verify_json_schema():
 
 
 def test_m_factorization_check_rejects_wrong_inputs(monkeypatch):
-    assert cli._check_m_factorization(None)[0]
+    assert checks._check_m_factorization(None)[0]
     m, rho = build_M()
     data = list(m.data)
     data[6] = 2 * m[1, 2]
     doubled_m = ParamMatrix(4, 4, data)
     for wrong in ((m, 2 * rho), (doubled_m, rho)):
-        monkeypatch.setattr(cli, "build_M", lambda: wrong)
-        assert not cli._check_m_factorization(None)[0]
-    monkeypatch.setattr(cli, "build_M", build_M)
-    monkeypatch.setattr(cli, "build_r", lambda d, k=None: build_r(d, 1))
-    assert not cli._check_m_factorization(None)[0]
+        monkeypatch.setattr(checks, "build_M", lambda: wrong)
+        assert not checks._check_m_factorization(None)[0]
+    monkeypatch.setattr(checks, "build_M", build_M)
+    monkeypatch.setattr(checks, "build_r", lambda d, k=None: build_r(d, 1))
+    assert not checks._check_m_factorization(None)[0]
 
 
 def test_diamond_check_names_an_unresolved_overlap(monkeypatch):
-    assert cli._check_diamond("pq") == (
+    assert checks._check_diamond("pq") == (
         True, "no overlap violations to degree 4 at the braid couplings")
-    symbolic = cli.build_plane_system("pq")
-    monkeypatch.setattr(cli, "build_plane_system", lambda d, k=None: symbolic)
-    assert cli._check_diamond("pq") == (
+    symbolic = checks.build_plane_system("pq")
+    monkeypatch.setattr(checks, "build_plane_system", lambda d, k=None: symbolic)
+    assert checks._check_diamond("pq") == (
         False, "6 unresolved overlaps at K = 1; first x*eta*xi")
     swap = RewriteSystem("swap", ("x", "y"), [
         RewriteRule(("x", "y"), NCPoly.from_word(("y", "x"))),
         RewriteRule(("y", "x"), NCPoly.from_word(("x", "y")))])
-    monkeypatch.setattr(cli, "build_plane_system",
+    monkeypatch.setattr(checks, "build_plane_system",
                         lambda d, k=None: SimpleNamespace(rules=swap))
-    assert cli._check_diamond("gh") == (False, "no termination order at K = 1")
+    assert checks._check_diamond("gh") == (False, "no termination order at K = 1")
 
 
 def test_verify_flags_corrupted_catalog(monkeypatch):
     real = build_rhat
-    monkeypatch.setattr(cli, "build_rhat", lambda d, k=None: real(d, k).scale(2))
+    monkeypatch.setattr(checks, "build_rhat", lambda d, k=None: real(d, k).scale(2))
     buf = io.StringIO()
     assert run_verify("catalog", stream=buf) == 1
     assert "FAIL" in buf.getvalue()

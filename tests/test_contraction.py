@@ -13,7 +13,8 @@ from mbraid.contraction import (
     plane_tilde_system,
 )
 from mbraid.contraction import _contract_defect, _generator_maps, _pq_subs, _tilde_rename
-from mbraid.ncalgebra import NCPoly, build_group_system, change_of_basis, normal_order
+from mbraid.ncalgebra import (NCPoly, RewriteRule, RewriteSystem, build_group_system,
+                              change_of_basis, normal_order)
 from mbraid.plane import build_pure_system, phi_poly
 from mbraid.scalars import ONE, PoleAtZero, limit_u0, substitute, sym
 
@@ -137,6 +138,19 @@ def test_contract_group_relations():
 
 def test_contract_plane():
     assert contract_plane()
+
+
+def test_contract_plane_rejects_a_corrupted_gh_rule(monkeypatch):
+    # each gh plane relation must itself emerge from the limit
+    real = contraction.build_pure_system
+    gh = real("gh")
+    for lhs in gh.by_lhs:
+        rules = [RewriteRule(r.lhs, r.rhs + w("xi", "eta").scale(G) if r.lhs == lhs else r.rhs)
+                 for r in gh.by_lhs.values()]
+        bad = RewriteSystem(gh.name, gh.alphabet, rules, gh.step_cap)
+        monkeypatch.setattr(contraction, "build_pure_system",
+                            lambda d, bad=bad: bad if d == "gh" else real(d))
+        assert not contract_plane(), lhs
 
 
 def test_phi_contracts_to_nonstandard_phi():

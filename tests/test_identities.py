@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+import mbraid.checks as checks
 import mbraid.identities as identities
 from mbraid.catalog import build_rhat, deformation
 from mbraid.identities import (
@@ -78,6 +79,17 @@ def test_s_shift_checks_each_distinct_root_once(monkeypatch):
     for did, want in (("pq", 3), ("gh", 2), ("qh", 3)):
         calls.clear()
         assert s_shift_check(did), did
+        assert len(calls) == want, did
+
+
+def test_braid_values_checks_each_distinct_coupling_once(monkeypatch):
+    # one braid relation per distinct coupling, then the symbolic B(K)
+    real = identities._braid_defect
+    calls = []
+    monkeypatch.setattr(identities, "_braid_defect", lambda m: calls.append(1) or real(m))
+    for did, want in (("pq", 3), ("gh", 2), ("qh", 3)):
+        calls.clear()
+        assert checks._check_braid_values(did)[0], did
         assert len(calls) == want, did
 
 
