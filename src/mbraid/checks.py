@@ -9,7 +9,7 @@ from __future__ import annotations
 from .catalog import (DEFORMATIONS, braid_couplings, build_M, build_r,
                       build_rhat, deformation, hecke_X, kprime, projectors,
                       triangular_K)
-from .contraction import (_pq_subs, contract_group_relations, contract_matrix,
+from .contraction import (_limit, contract_group_relations, contract_matrix,
                           contract_plane, frame)
 from .identities import (DegenerateValues, affine_decomposition,
                          baxterization_check, braid_divisibility,
@@ -20,7 +20,7 @@ from .plane import (build_plane_system, phi_commutators, phi_nilpotent,
                     projector_consistency, pure_sector_consistency)
 from .pmatrix import ParamMatrix, flip21, inverse
 from .rtt import SpanMismatch, rtt_residual, solve_family
-from .scalars import ONE, limit_u0, substitute, sym, vanishes_at_sqrt
+from .scalars import ONE, substitute, sym, vanishes_at_sqrt
 
 
 def _check_rhat_affine(d):
@@ -149,14 +149,14 @@ def _check_diamond(d):
 
 
 def _check_contraction_curve(_):
-    g, h, u = sym("g"), sym("h"), sym("u")
-    p, q = sym("p"), sym("q")
-    subs = _pq_subs(frame())
-    om = ONE / u
+    g, h, p, q = sym("g"), sym("h"), sym("p"), sym("q")
+    fr = frame()
+    # omega = 1/u is the off-diagonal entry of G
+    subs, om, lim = fr.substitutions, fr.gmatrix[0, 1], _limit(fr)
     ok = (substitute((1 - p) * om, subs) == g
           and substitute((q - 1) * om, subs) == h
-          and limit_u0(substitute((1 / p - q) * om, subs)) == g - h
-          and limit_u0(substitute((p * q - 1) * om, subs)) == h - g)
+          and lim((1 / p - q) * om) == g - h
+          and lim((p * q - 1) * om) == h - g)
     return ok, "(1-p)w = g, (q-1)w = h exactly; difference combinations converge"
 
 

@@ -1,36 +1,39 @@
 """The singular limit from the two-parameter family to the nonstandard one.
 
-Everything rides on one exact rational curve: p = 1 - g*u, q = 1 + h*u,
-omega = 1/u.  Along it the combinations (1-p)*omega and (q-1)*omega equal g
-and h identically in u, so the "limit" of any expression is just a
-substitution followed by evaluation of the u-free part at u = 0; an actual
-pole at u = 0 signals a wrong setup and surfaces as PoleAtZero.
+frame() is the one place the contraction is written: the exact rational
+curve p = 1 - g*u, q = 1 + h*u, and the one change of basis
+G = [[1, 1/u], [0, 1]] (the h-deformation as a contraction of the
+q-deformation: Aghamohammadi, Khorrami & Shariati, J. Phys. A 28, 1995,
+L225).  Along the curve (1-p)/u and (q-1)/u equal g and h identically in u,
+so the limit of any expression is a substitution followed by evaluation of
+the u-free part at u = 0 (_limit); an actual pole at u = 0 signals a wrong
+setup and surfaces as PoleAtZero.
 
-Three kinds of object are contracted: the R-matrix (conjugated by G (x) G
-with G unitriangular), the group generators (tilde combinations whose
-relations close on the nonstandard table), and the plane generators.  The
-generator pipelines first transport the two-parameter relations into tilde
+Every map between the two bases derives from G.  The R-matrix is conjugated
+by G (x) G, the group generators satisfy T = G T~ G^-1, and the plane
+generators (x, y) = G (x~, y~) and (xi, eta) = G (xi~, eta~).  The generator
+pipelines first transport the two-parameter relations into tilde
 coordinates exactly in u; reducing a defect there keeps every coefficient
 finite at u = 0, whereas naive word-by-word regrouping of a plain normal
-form leaves divergences that only those relations cancel.
+form leaves divergences that only those relations cancel.  No builder is
+cached: each call rebuilds from the current catalog and rewrite systems.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .catalog import build_r
-from .ncalgebra import (GROUP, GROUP_TILDE, PLANE, PLANE_TILDE, TILDE_OF,
-                        NCPoly, RewriteRule, RewriteSystem, build_group_system,
-                        change_of_basis, normal_order)
+from .ncalgebra import (GROUP, PLANE, NCPoly, RewriteRule, RewriteSystem,
+                        build_group_system, change_of_basis, normal_order)
 from .plane import build_pure_system, phi_poly
 from .pmatrix import ParamMatrix, inverse, kron
-from .scalars import ONE, ZERO, RatFunc, limit_u0, substitute, sym
+from .scalars import ONE, ZERO, limit_u0, substitute, sym
 
+GROUP_TILDE = ("a_t", "b_t", "c_t", "d_t")
+PLANE_TILDE = ("xi_t", "eta_t", "x_t", "y_t")
 
-class ContractionMismatch(ArithmeticError):
-    """The contracted matrix disagrees with the nonstandard catalog entry."""
+TILDE_OF = dict(zip(GROUP + PLANE, GROUP_TILDE + PLANE_TILDE))
 
 
 @dataclass(frozen=True)
@@ -41,79 +44,46 @@ class ContractionFrame:
 
 def frame() -> ContractionFrame:
     g, h, u = sym("g"), sym("h"), sym("u")
-    subs = {"p": 1 - g * u, "q": 1 + h * u, "omega": ONE / u}
-    gm = ParamMatrix(2, 2, [ONE, ONE / u, ZERO, ONE])
-    return ContractionFrame(subs, gm)
+    return ContractionFrame({"p": 1 - g * u, "q": 1 + h * u},
+                            ParamMatrix(2, 2, [ONE, ONE / u, ZERO, ONE]))
 
 
-def _pq_subs(fr: ContractionFrame) -> dict:
-    return {n: v for n, v in fr.substitutions.items() if n in ("p", "q")}
+def _limit(fr: ContractionFrame):
+    """The contraction of one scalar: substitute the curve, then u -> 0."""
+    return lambda cf: limit_u0(substitute(cf, fr.substitutions))
 
 
-def _contract_scalar(expr: RatFunc, fr: ContractionFrame) -> RatFunc:
-    return limit_u0(substitute(expr, _pq_subs(fr)))
+def _to_tilde(gm: ParamMatrix):
+    """Each plain generator as a combination of tilde ones, for the group
+    (T = gm T~ gm^-1, T = [[a, b], [c, d]]) and for the plane
+    ((xi, eta) = gm (xi~, eta~), (x, y) = gm (x~, y~))."""
+    ginv = inverse(gm)
+    group = {GROUP[2 * i + j]: NCPoly({(GROUP_TILDE[2 * k + l],): gm[i, k] * ginv[l, j]
+                                       for k in range(2) for l in range(2)})
+             for i in range(2) for j in range(2)}
+    plane = {PLANE[2 * s + i]: NCPoly({(PLANE_TILDE[2 * s + k],): gm[i, k] for k in range(2)})
+             for s in range(2) for i in range(2)}
+    return group, plane
 
 
 def conjugated_matrix(k=None) -> ParamMatrix:
     """(G^-1 (x) G^-1) R(K;p,q) (G (x) G), entries still in K, p, q, u."""
-    fr = frame()
-    om = fr.substitutions["omega"]
-    ginv = ParamMatrix(2, 2, [ONE, -om, ZERO, ONE])
-    return kron(ginv, ginv) @ build_r("pq", k) @ kron(fr.gmatrix, fr.gmatrix)
+    gm = frame().gmatrix
+    ginv = inverse(gm)
+    return kron(ginv, ginv) @ build_r("pq", k) @ kron(gm, gm)
 
 
 def contract_matrix(k=None) -> ParamMatrix:
-    """Entrywise limit of the conjugated R-matrix; certified against the
-    nonstandard catalog entry before being returned."""
-    fr = frame()
-    limit = conjugated_matrix(k).map(lambda e: _contract_scalar(e, fr))
-    if limit != build_r("gh", k):
-        raise ContractionMismatch("conjugated limit left the catalog family")
-    return limit
-
-
-@lru_cache(maxsize=1)
-def _generator_maps():
-    """Tilde generators in the plain basis and the inverse maps, for both
-    alphabets.  The group map mixes the unitriangular action on (a, c) and
-    (b, d) column pairs; the plane map is the same action on single pairs."""
-    om = ONE / sym("u")
-    a, b, c, d = (NCPoly.gen(n) for n in GROUP)
-    at, bt, ct, dt = (NCPoly.gen(TILDE_OF[n]) for n in GROUP)
-    group_to_plain = {
-        "a_t": a - c.scale(om),
-        "b_t": b - d.scale(om) + a.scale(om) - c.scale(om * om),
-        "c_t": c,
-        "d_t": d + c.scale(om),
-    }
-    group_to_tilde = {
-        "a": at + ct.scale(om),
-        "b": bt - at.scale(om) + dt.scale(om) - ct.scale(om * om),
-        "c": ct,
-        "d": dt - ct.scale(om),
-    }
-    xi, eta, x, y = (NCPoly.gen(n) for n in PLANE)
-    xit, etat, xt, yt = (NCPoly.gen(TILDE_OF[n]) for n in PLANE)
-    plane_to_plain = {
-        "x_t": x - y.scale(om),
-        "y_t": y,
-        "xi_t": xi - eta.scale(om),
-        "eta_t": eta,
-    }
-    plane_to_tilde = {
-        "x": xt + yt.scale(om),
-        "y": yt,
-        "xi": xit + etat.scale(om),
-        "eta": etat,
-    }
-    return group_to_plain, group_to_tilde, plane_to_plain, plane_to_tilde
+    """Entrywise limit of the conjugated R-matrix; the contraction:matrix
+    check compares it with the nonstandard catalog entry."""
+    return conjugated_matrix(k).map(_limit(frame()))
 
 
 def _tilde_rename(p: NCPoly) -> NCPoly:
     return change_of_basis(p, {n: NCPoly.gen(t) for n, t in TILDE_OF.items()})
 
 
-def _transported_rules(plain_system, to_tilde, tilde_alphabet) -> "RewriteSystem":
+def _transported_rules(plain_system, to_tilde, tilde_alphabet) -> RewriteSystem:
     """The plain relations rewritten in tilde coordinates, exactly in u.
 
     Naive regrouping of a reduced word into tilde monomials leaves 1/u
@@ -141,26 +111,22 @@ def _transported_rules(plain_system, to_tilde, tilde_alphabet) -> "RewriteSystem
                          plain_system.step_cap)
 
 
-@lru_cache(maxsize=1)
 def group_tilde_system() -> RewriteSystem:
     """Exact tilde-coordinate form of the two-parameter group relations."""
-    _, to_tilde, _, _ = _generator_maps()
+    to_tilde, _ = _to_tilde(frame().gmatrix)
     return _transported_rules(build_group_system("pq"), to_tilde, GROUP_TILDE)
 
 
-@lru_cache(maxsize=1)
 def plane_tilde_system() -> RewriteSystem:
     """Exact tilde-coordinate form of the two-parameter pure plane relations."""
-    _, _, _, to_tilde = _generator_maps()
+    _, to_tilde = _to_tilde(frame().gmatrix)
     return _transported_rules(build_pure_system("pq"), to_tilde, PLANE_TILDE)
 
 
 def _contract_defect(defect, tilde_system, fr) -> NCPoly:
     """Reduce a tilde-basis defect with the exact transported relations,
-    substitute the contraction curve, and take the limit."""
-    reduced = normal_order(defect, tilde_system)
-    subbed = reduced.map_coeffs(lambda cf: substitute(cf, _pq_subs(fr)))
-    return subbed.map_coeffs(limit_u0)
+    then take its limit along the contraction curve."""
+    return normal_order(defect, tilde_system).map_coeffs(_limit(fr))
 
 
 def _relations_emerge(gh_system, tilde_system, fr) -> bool:
@@ -186,7 +152,6 @@ def contract_plane() -> bool:
     fr = frame()
     if not _relations_emerge(build_pure_system("gh"), plane_tilde_system(), fr):
         return False
-    _, _, _, to_tilde = _generator_maps()
-    phi1_tilde = change_of_basis(phi_poly("pq"), to_tilde)
-    subbed = phi1_tilde.map_coeffs(lambda cf: substitute(cf, _pq_subs(fr)))
-    return subbed.map_coeffs(limit_u0) == _tilde_rename(phi_poly("gh"))
+    _, to_tilde = _to_tilde(fr.gmatrix)
+    moved = change_of_basis(phi_poly("pq"), to_tilde)
+    return moved.map_coeffs(_limit(fr)) == _tilde_rename(phi_poly("gh"))

@@ -29,10 +29,10 @@ class DegenerateValues(ArithmeticError):
     """Affine decomposition requested where K1 = K2."""
 
 
-def mbe_factor(d, k=None) -> RatFunc:
+def mbe_factor(d) -> RatFunc:
     """The braid-defect scalar lam(K) = (K/K1 - 1)(K/K2 - 1)."""
     spec = deformation(d)
-    k = sym("K") if k is None else k
+    k = sym("K")
     return (k / spec.K1 - 1) * (k / spec.K2 - 1)
 
 

@@ -27,10 +27,6 @@ Word = tuple
 
 GROUP = ("a", "b", "c", "d")
 PLANE = ("xi", "eta", "x", "y")
-GROUP_TILDE = ("a_t", "b_t", "c_t", "d_t")
-PLANE_TILDE = ("xi_t", "eta_t", "x_t", "y_t")
-
-TILDE_OF = dict(zip(GROUP + PLANE, GROUP_TILDE + PLANE_TILDE))
 
 
 class StepCapExceeded(RuntimeError):

@@ -8,7 +8,6 @@ because it is false of the mixed calculus itself (see its docstring); the
 couplings where it does hold are asserted exactly.
 """
 
-import math
 import time
 from fractions import Fraction
 
@@ -24,9 +23,9 @@ from mbraid.identities import (DegenerateValues, affine_decomposition,
                                baxterization_check, braid_divisibility,
                                braid_residual, mbe_factor, mbe_r_form,
                                mbe_residual, s_shift_check)
-from mbraid.ncalgebra import build_group_system, change_of_basis, diamond_check
+from mbraid.ncalgebra import build_group_system, diamond_check
 from mbraid.plane import (build_plane_system, phi_commutators, phi_nilpotent,
-                          phi_poly, projector_consistency)
+                          projector_consistency)
 from mbraid.pmatrix import ParamMatrix, flip21, inverse
 from mbraid.rtt import rtt_residual, solve_family
 from mbraid.scalars import (ONE, limit_u0, substitute, sym,

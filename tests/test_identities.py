@@ -66,7 +66,7 @@ def test_s_shift_symbolic_and_root():
 
 def test_s_shift_rejects_a_planted_defect_factor(monkeypatch):
     real = identities.mbe_factor
-    monkeypatch.setattr(identities, "mbe_factor", lambda d, k=None: real(d, k) + 1)
+    monkeypatch.setattr(identities, "mbe_factor", lambda d: real(d) + 1)
     for did in DEFORMATIONS:
         assert not s_shift_check(did), did
 

@@ -1,0 +1,51 @@
+"""Every name that a module under src/ or tests/ imports is used in it."""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _imported(tree):
+    """(bound name, line) per imported name; __future__ imports are compiler
+    directives, not names."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0], node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                if alias.name != "*":
+                    yield alias.asname or alias.name, node.lineno
+
+
+def _used(tree) -> set:
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            annotations = [node.returns] + [a.annotation for a in ast.walk(node.args)
+                                            if isinstance(a, ast.arg)]
+        elif isinstance(node, ast.AnnAssign):
+            annotations = [node.annotation]
+        else:
+            annotations = []
+        # a quoted annotation names what it uses inside the string
+        for ann in filter(None, annotations):
+            for leaf in ast.walk(ann):
+                if isinstance(leaf, ast.Constant) and isinstance(leaf.value, str):
+                    used |= _used(ast.parse(leaf.value, mode="eval"))
+        # names re-exported through __all__ count as used
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            used |= {e.value for e in node.value.elts if isinstance(e, ast.Constant)}
+    return used
+
+
+def test_no_unused_imports_in_src_and_tests():
+    unused = []
+    for path in sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "tests").rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        used = _used(tree)
+        unused += [f"{path.relative_to(ROOT)}:{line}: {name}"
+                   for name, line in _imported(tree) if name not in used]
+    assert not unused, "unused imports:\n" + "\n".join(unused)

@@ -6,8 +6,8 @@ from mbraid.identities import mbe_factor
 from mbraid.ncalgebra import (PLANE, NCPoly, RewriteSystem, critical_pairs,
                               diamond_check, normal_order)
 from mbraid.plane import (PlaneSystem, UnsupportedDeformation, build_plane_system,
-                          build_pure_system, phi, phi_commutators, phi_nilpotent,
-                          projector_consistency, pure_sector_consistency)
+                          phi, phi_commutators, phi_nilpotent, projector_consistency,
+                          pure_sector_consistency)
 from mbraid.scalars import ONE, poly_divmod_in, substitute, sym
 
 K, P, Q, G, H = sym("K"), sym("p"), sym("q"), sym("g"), sym("h")

@@ -7,9 +7,7 @@ from mbraid.scalars import (
     ONE,
     ZERO,
     DivisionByZero,
-    Poly,
     PoleAtZero,
-    RatFunc,
     UnknownSymbolError,
     const,
     limit_u0,
