@@ -22,7 +22,7 @@ from .identities import _braid_defect
 from .ncalgebra import GROUP, PLANE, NCPoly, StepCapExceeded, normal_order
 from .plane import UnsupportedDeformation, build_plane_system, build_pure_system
 from .rtt import SpanMismatch, solve_family
-from .scalars import (ONE, SYMBOLS, ZERO, DivisionByZero, Poly,
+from .scalars import (ONE, SYMBOLS, ZERO, DivisionByZero, Poly, RatFunc,
                       UnknownSymbolError, substitute, sym)
 
 NONCOMMUTING = GROUP + PLANE
@@ -50,6 +50,18 @@ MAX_DEPTH = 100
 # numerator or denominator monomials, summed over the coefficients.
 # Parentheses and unary minus nest at most MAX_DEPTH levels, which keeps the
 # recursive descent well inside Python's recursion limit.
+#
+# A term is folded, not multiplied out factor by factor.  An atomic factor is
+# a number, a commuting symbol or a generator with no '^' after it.  A run of
+# '*'-joined atomic factors keeps an int numerator and denominator, the
+# symbols' exponents and a word, and becomes one NCPoly term, with one
+# RatFunc, when a compound factor, a '/' or the end of the term arrives.  The
+# product with what came before the run is then a single NCPoly product.
+# Each '*' of the run still makes the size check its product would have made,
+# at its own offset and before the next factor is read: multiplying by an
+# atom leaves the term counts of the left operand as they are and only
+# lengthens its longest word, so the run takes the left operand's sizes once
+# and updates them per atom (a zero atom empties the product).
 
 def _tokenize(text: str) -> list:
     tokens = []
@@ -59,13 +71,13 @@ def _tokenize(text: str) -> list:
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
+        if ch.isdecimal():
             j = i + 1
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
-            if j < n and text[j] == "/" and j + 1 < n and text[j + 1].isdigit():
+            if j < n and text[j] == "/" and j + 1 < n and text[j + 1].isdecimal():
                 j += 2
-                while j < n and text[j].isdigit():
+                while j < n and text[j].isdecimal():
                     j += 1
             tokens.append(("num", text[i:j], i))
             i = j
@@ -92,6 +104,22 @@ def _syntax_error(msg: str, offset: int) -> SyntaxError:
     return err
 
 
+def _unknown_symbol(name: str, offset: int) -> UnknownSymbolError:
+    return UnknownSymbolError(f"unknown symbol {name!r} at offset {offset}")
+
+
+def _literal(text: str, offset: int) -> tuple:
+    """A numeric token as an int numerator and a nonzero int denominator."""
+    top, _, bottom = text.partition("/")
+    try:
+        top, bottom = int(top), int(bottom) if bottom else 1
+    except ValueError:  # beyond the interpreter's int digit limit
+        raise _syntax_error("numeric literal too long", offset) from None
+    if not bottom:
+        raise _syntax_error("zero denominator", offset)
+    return top, bottom
+
+
 def _size(p: NCPoly) -> tuple:
     num = den = longest = 0
     for word, c in p.coeffs.items():
@@ -102,14 +130,18 @@ def _size(p: NCPoly) -> tuple:
     return num, den, longest
 
 
-def _check_size(a: NCPoly, b: NCPoly, offset: int, divide: bool = False) -> None:
-    (na, da, wa), (nb, db, wb) = _size(a), _size(b)
+def _check_size(a: tuple, b: tuple, offset: int, divide: bool = False) -> None:
+    """Refuse the product (or quotient) of two operands with _size a and b."""
+    (na, da, wa), (nb, db, wb) = a, b
     if divide:  # a / c multiplies numerators by den(c) and denominators by num(c)
         nb, db = db, nb
     if max(na * nb, da * db) > MAX_TERMS:
         raise _syntax_error(f"expression grows beyond {MAX_TERMS} terms", offset)
     if wa + wb > MAX_WORD:
         raise _syntax_error(f"word grows beyond {MAX_WORD} letters", offset)
+
+
+_CONSTANT = (0,) * len(SYMBOLS)  # the monomial of a constant
 
 
 class _Parser:
@@ -128,6 +160,10 @@ class _Parser:
         self.pos += 1
         return tok
 
+    def atomic(self, pos: int) -> bool:
+        """Whether the token at pos is a number or a name with no '^' after it."""
+        return self.tokens[pos][0] in ("num", "name") and self.tokens[pos + 1][0] != "^"
+
     def expr(self) -> NCPoly:
         out = self.term()
         while self.peek()[0] in ("+", "-"):
@@ -137,11 +173,14 @@ class _Parser:
         return out
 
     def term(self) -> NCPoly:
-        out = self.factor()
+        out = self.run(None) if self.atomic(self.pos) else self.factor()
         while self.peek()[0] in ("*", "/"):
             op, _, offset = self.take()
+            if op == "*" and self.atomic(self.pos):
+                out = self.run(out, offset)
+                continue
             rhs = self.factor()
-            _check_size(out, rhs, offset, op == "/")
+            _check_size(_size(out), _size(rhs), offset, op == "/")
             if op == "*":
                 out = out * rhs
                 continue
@@ -149,6 +188,43 @@ class _Parser:
                 raise _syntax_error("divisor must be scalar", offset)
             out = out.scale(ONE / rhs.coefficient(()))
         return out
+
+    def run(self, out, offset=None) -> NCPoly:
+        """out times the run of '*'-joined atomic factors starting here, the
+        run built as one monomial.  out is None when the run begins the term;
+        otherwise offset is that of the '*' before the run."""
+        num = den = 1
+        exps, word = [0] * len(SYMBOLS), []
+        # the sizes of the product so far; a term starts from the number 1
+        na, da, longest = (1, 1, 0) if out is None else _size(out)
+        while True:
+            kind, text, at = self.take()
+            nb, wb = 1, 0
+            if kind == "num":
+                top, bottom = _literal(text, at)
+                num, den = num * top, den * bottom
+                nb = 1 if top else 0
+            elif text in COMMUTING:
+                exps[SYMBOLS.index(text)] += 1
+            elif text in NONCOMMUTING:
+                word.append(text)
+                wb = 1
+            else:
+                raise _unknown_symbol(text, at)
+            if offset is not None:
+                _check_size((na, da, longest), (nb, nb, wb), offset)
+            if nb and na:
+                longest += wb
+            else:
+                na = da = longest = 0
+            if self.peek()[0] != "*" or not self.atomic(self.pos + 1):
+                break
+            offset = self.take()[2]
+        if not num:
+            return NCPoly.zero()
+        mono = NCPoly({tuple(word): RatFunc(Poly({tuple(exps): num}),
+                                            Poly({_CONSTANT: den}))})
+        return mono if out is None else out * mono
 
     def factor(self) -> NCPoly:
         kind, text, offset = self.peek()
@@ -163,12 +239,7 @@ class _Parser:
             return out
         if kind == "num":
             self.take()
-            try:
-                out = NCPoly.unit(Fraction(text))
-            except ZeroDivisionError:
-                raise _syntax_error("zero denominator", offset) from None
-            except ValueError:  # beyond the interpreter's int digit limit
-                raise _syntax_error("numeric literal too long", offset) from None
+            out = NCPoly.unit(Fraction(*_literal(text, offset)))
         elif kind == "name":
             self.take()
             if text in COMMUTING:
@@ -176,7 +247,7 @@ class _Parser:
             elif text in NONCOMMUTING:
                 out = NCPoly.gen(text)
             else:
-                raise UnknownSymbolError(f"unknown symbol {text!r} at offset {offset}")
+                raise _unknown_symbol(text, offset)
         elif kind == "(":
             self.take()
             out = self.expr()
@@ -192,9 +263,9 @@ class _Parser:
             digits = text.lstrip("0") or "0"
             if len(digits) > len(str(MAX_EXPONENT)) or int(digits) > MAX_EXPONENT:
                 raise _syntax_error(f"exponent above {MAX_EXPONENT}", offset)
-            power, base = NCPoly.unit(), out
+            power, base, base_size = NCPoly.unit(), out, _size(out)
             for _ in range(int(digits)):
-                _check_size(power, base, offset)
+                _check_size(_size(power), base_size, offset)
                 power = power * base
             out = power
         return out

@@ -160,6 +160,15 @@ def test_parse_rejects_zero_denominator_literal():
         assert "zero denominator" in str(err.value)
 
 
+def test_parse_reads_only_decimal_digits():
+    # '²' is a digit to str.isdigit, but int and Fraction refuse it
+    for text, offset in (("x^²", 2), ("²*x", 0)):
+        with pytest.raises(SyntaxError) as err:
+            parse_expression(text)
+        assert str(err.value) == f"unexpected character '²' at offset {offset}"
+    assert parse_expression("٣*x") == NCPoly.gen("x").scale(3)
+
+
 def test_render_parse_round_trip():
     rng = random.Random(7)
     letters = ("a", "b", "c", "d", "x", "y", "xi", "eta")
@@ -375,6 +384,14 @@ def test_main_plane_literal_beyond_int_digit_limit(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")
+
+
+def test_main_plane_superscript_digit_is_a_usage_error(capsys):
+    for expr in ("x^²", "²*x"):
+        assert main(["plane", "--deformation", "pq", "--expr", expr]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: unexpected character '²'")
 
 
 def test_main_plane_exponent_beyond_int_digit_limit(capsys):

@@ -5,14 +5,17 @@ Both scans must return equal rows (``==``, every K a Fraction) and write
 byte-identical CSV files, or raise the same exception class with the same
 message and write no CSV."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
 import ref_scan as ref
 
+from mbraid.catalog import build_rhat, deformation
 from mbraid.cli import _horner, run_scan
-from mbraid.scalars import DivisionByZero, UnknownSymbolError
+from mbraid.pmatrix import embed12, embed23
+from mbraid.scalars import ZERO, DivisionByZero, UnknownSymbolError, substitute
 
 F = Fraction
 PARAMS = {"pq": ("p", "q"), "gh": ("g", "h"), "qh": ("q", "h")}
@@ -120,3 +123,21 @@ def test_scan_matches_reference_on_seeded_cases(tmp_path):
         d = rng.choice(tuple(PARAMS))
         bindings = {name: value() for name in PARAMS[d]}
         _same(tmp_path, d, bindings, value(), value(), rng.randint(2, 60))
+
+
+@pytest.mark.parametrize("d, bindings, c", [
+    ("pq", {"p": 2, "q": 3}, 44), ("gh", {"g": 1, "h": 2}, 86), ("qh", {"q": 3, "h": 5}, 168),
+])
+def test_scan_rows_follow_the_closed_form(tmp_path, d, bindings, c):
+    # Rhat(K) = I + K A, so the braid defect lam(K) (Rhat12 - Rhat23) is
+    # K lam(K) (A12 - A23), and F(K) = c K^2 lam(K)^2 with c = ||A12 - A23||^2
+    a = (build_rhat(d, 1) - build_rhat(d, 0)).map(lambda e: substitute(e, bindings))
+    c_exact = sum((e * e for e in (embed12(a) - embed23(a)).data), ZERO).eval({})
+    assert c_exact == c
+    spec = deformation(d)
+    k1, k2 = (substitute(k, bindings).eval({}) for k in (spec.K1, spec.K2))
+    rows = run_scan(d, bindings, F(-3), F(5, 2), 1001, str(tmp_path / "scan.csv"))
+    assert len(rows) == 1001
+    for k, fro in rows:
+        lam = (k / k1 - 1) * (k / k2 - 1)
+        assert fro == math.sqrt(c_exact * k * k * lam * lam), k
