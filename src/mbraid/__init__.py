@@ -13,7 +13,7 @@ from .identities import (affine_decomposition, baxterization_check,
 from .ncalgebra import (NCPoly, RewriteSystem, build_group_system,
                         change_of_basis, critical_pairs, diamond_check,
                         normal_order, termination_order)
-from .plane import (build_plane_system, build_pure_system, phi,
+from .plane import (build_plane_system, build_pure_system,
                     phi_commutators, phi_nilpotent, phi_poly,
                     projector_consistency, pure_sector_consistency)
 from .pmatrix import (ParamMatrix, embed12, embed23, flip21, inverse, kron,
@@ -29,7 +29,7 @@ __all__ = [
     "braid_residual", "mbe_factor", "mbe_r_form", "mbe_residual", "s_shift_check",
     "NCPoly", "RewriteSystem", "build_group_system", "change_of_basis",
     "critical_pairs", "diamond_check", "normal_order", "termination_order",
-    "build_plane_system", "build_pure_system", "phi", "phi_commutators",
+    "build_plane_system", "build_pure_system", "phi_commutators",
     "phi_nilpotent", "phi_poly", "projector_consistency",
     "pure_sector_consistency",
     "ParamMatrix", "embed12", "embed23", "flip21", "inverse", "kron",

@@ -8,14 +8,14 @@ from (K1, K2) here, never hard-coded twice.  M needs s = sqrt(2pq/(p+q)); it
 is built with s as the symbol u and checked modulo s^2 - rho.
 
 Basis order is e1(x)e1, e1(x)e2, e2(x)e1, e2(x)e2, first factor most
-significant.  R = P.R-hat with P the factor swap.
+significant.  R = P.R-hat with P the factor swap pmatrix.SWAP.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .pmatrix import ParamMatrix, perm_operator
+from .pmatrix import SWAP, ParamMatrix
 from .scalars import ONE, ZERO, DivisionByZero, RatFunc, as_ratfunc, sym
 
 
@@ -26,7 +26,6 @@ class DegenerateX(ArithmeticError):
 @dataclass(frozen=True)
 class DeformationSpec:
     id: str
-    params: tuple
     K1: RatFunc
     K2: RatFunc
 
@@ -37,9 +36,9 @@ _G = sym("g")
 _H = sym("h")
 
 _SPECS = {
-    "pq": DeformationSpec("pq", ("p", "q"), ONE, _P / _Q),
-    "gh": DeformationSpec("gh", ("g", "h"), ONE, ONE),
-    "qh": DeformationSpec("qh", ("q", "h"), ONE, ONE / _Q),
+    "pq": DeformationSpec("pq", ONE, _P / _Q),
+    "gh": DeformationSpec("gh", ONE, ONE),
+    "qh": DeformationSpec("qh", ONE, ONE / _Q),
 }
 
 DEFORMATIONS = tuple(_SPECS)
@@ -97,12 +96,9 @@ def build_rhat(d, k=None) -> ParamMatrix:
     return ParamMatrix.from_rows(rows)
 
 
-_SWAP = perm_operator((2, 1))  # the 4x4 tensor-factor swap P
-
-
 def build_r(d, k=None) -> ParamMatrix:
     """R(K) = P.R-hat(K), the RTT-form matrix."""
-    return _SWAP @ build_rhat(d, k)
+    return SWAP @ build_rhat(d, k)
 
 
 def hecke_X(d, k=None) -> RatFunc:

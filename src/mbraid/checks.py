@@ -16,7 +16,7 @@ from .identities import (DegenerateValues, affine_decomposition,
                          braid_residual, mbe_factor, mbe_r_form, mbe_residual,
                          s_shift_check)
 from .ncalgebra import build_group_system, critical_pairs, termination_order
-from .plane import (build_plane_system, phi_commutators, phi_nilpotent,
+from .plane import (MIXED, build_plane_system, phi_commutators, phi_nilpotent,
                     projector_consistency, pure_sector_consistency)
 from .pmatrix import ParamMatrix, flip21, inverse
 from .rtt import SpanMismatch, rtt_residual, solve_family
@@ -122,8 +122,8 @@ def _check_pure_sectors(d):
 
 
 def _check_projector_consistency(d):
-    if d == "qh":
-        return projector_consistency("qh"), "pure sectors only (no mixed calculus)"
+    if d not in MIXED:
+        return pure_sector_consistency(d), "pure sectors only (no mixed calculus)"
     return projector_consistency(build_plane_system(d)), "pure and mixed sectors"
 
 
@@ -194,7 +194,7 @@ def registered_checks() -> list:
     for d in DEFORMATIONS:
         out.append(("plane", "pure-sectors", d, _check_pure_sectors))
         out.append(("plane", "projector-consistency", d, _check_projector_consistency))
-    for d in ("pq", "gh"):
+    for d in MIXED:
         out.append(("plane", "phi-nilpotent", d, _check_phi_nilpotent))
         out.append(("plane", "phi-commutators", d, _check_phi_commutators))
         out.append(("plane", "diamond-at-couplings", d, _check_diamond))

@@ -16,11 +16,11 @@ import math
 import sys
 from fractions import Fraction
 
-from .catalog import DEFORMATIONS, DegenerateX, build_rhat, deformation
+from .catalog import DEFORMATIONS, build_rhat, deformation
 from .checks import registered_checks
 from .identities import _braid_defect
 from .ncalgebra import GROUP, PLANE, NCPoly, StepCapExceeded, normal_order
-from .plane import UnsupportedDeformation, build_plane_system, build_pure_system
+from .plane import MIXED, build_plane_system, build_pure_system
 from .rtt import SpanMismatch, solve_family
 from .scalars import (ONE, SYMBOLS, ZERO, DivisionByZero, Poly, RatFunc,
                       UnknownSymbolError, substitute, sym)
@@ -465,28 +465,21 @@ def _do_scan(args) -> int:
 def _do_plane(args) -> int:
     try:
         expr = parse_expression(args.expr)
-    except (SyntaxError, UnknownSymbolError, DivisionByZero) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    bad = sorted({letter for word in expr.coeffs for letter in word
-                  if letter not in PLANE})
-    if bad:
-        sys.stderr.write(f"error: not plane generators: {', '.join(bad)}\n")
-        return 2
-    try:
-        system = build_plane_system(args.deformation, args.K).rules
-    except UnsupportedDeformation:
-        if args.K is not None:  # the pure rules have no K to set
+        bad = sorted({letter for word in expr.coeffs for letter in word
+                      if letter not in PLANE})
+        if bad:
+            sys.stderr.write(f"error: not plane generators: {', '.join(bad)}\n")
+            return 2
+        if args.deformation in MIXED:
+            system = build_plane_system(args.deformation, args.K).rules
+        elif args.K is not None:  # the pure rules have no K to set
             sys.stderr.write(f"error: --K has no effect: {args.deformation} "
                              "planes have only pure sectors\n")
             return 2
-        system = build_pure_system(args.deformation)
-    except (DegenerateX, DivisionByZero, TypeError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    try:
+        else:
+            system = build_pure_system(args.deformation)
         nf = normal_order(expr, system)
-    except StepCapExceeded as exc:
+    except (SyntaxError, UnknownSymbolError, DivisionByZero, StepCapExceeded) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     _emit(args, {"check": "plane:normal-order", "deformation": args.deformation,

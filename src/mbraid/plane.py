@@ -7,11 +7,16 @@ x^i xi^j = (1/(1-X)) Rhat^{ij}_{i'j'} xi^{i'} x^{j'}.  Because Rhat is
 affine in K with Rhat(0) = I, both projectors are K-free and the pure
 sectors never see the coupling; the mixed rules carry all K-dependence
 through the single scalar 1/(1-X) and the nilpotent combination Phi.
+projector_consistency writes each family as one matrix whose rows,
+contracted with a vector of words, must normal-order to zero: P1 and P2
+against the bilinears, [I | -(1/(1-X)) Rhat] against the x^i xi^j words
+followed by the xi^i' x^j' words.
 
 Generators are ranked xi < eta < x < y and every rule rewrites a descending
 (or repeated) pair, so normal forms carry differentials on the left.  Mixed
-rules exist for the pq and gh planes; the third family has a fermionic
-coordinate (y^2 = 0) and only its pure sectors are modelled here.
+rules exist for the families in MIXED, the pq and gh planes; the third
+family has a fermionic coordinate (y^2 = 0) and only its pure sectors are
+modelled here.  MIXED is the one place that split is written.
 
 The full mixed systems are confluent exactly at the two braid couplings
 K = K1, K2: overlap branches on words like x.eta.xi disagree by a multiple
@@ -25,9 +30,12 @@ from dataclasses import dataclass
 
 from .catalog import _coupling, build_rhat, deformation, hecke_X, projectors
 from .ncalgebra import PLANE, NCPoly, RewriteRule, RewriteSystem, normal_order
+from .pmatrix import ParamMatrix
 from .scalars import ONE, RatFunc, sym
 
 _STEP_CAP = 20000
+
+MIXED = ("pq", "gh")  # the families with coordinate/differential rules
 
 
 class UnsupportedDeformation(ValueError):
@@ -95,9 +103,9 @@ def build_plane_system(d, k=None) -> PlaneSystem:
     so that every rule right-hand side is already in normal form.
     """
     spec = deformation(d)
-    if spec.id not in ("pq", "gh"):
+    if spec.id not in MIXED:
         raise UnsupportedDeformation(
-            f"{spec.id}: mixed plane rules are defined for pq and gh only")
+            f"{spec.id}: mixed plane rules are defined for {' and '.join(MIXED)} only")
     k = _coupling(k)
     one_minus_X = 1 - hecke_X(spec, k)
     c = ONE / one_minus_X
@@ -122,10 +130,6 @@ def build_plane_system(d, k=None) -> PlaneSystem:
     return PlaneSystem(spec.id, k, rules, one_minus_X)
 
 
-def phi(ps: PlaneSystem) -> NCPoly:
-    return phi_poly(ps.deformation)
-
-
 def _vector_constraints(matrix, words, system) -> bool:
     # each matrix row, contracted with the word vector, must reduce to zero
     for i in range(matrix.rows):
@@ -139,53 +143,36 @@ def _vector_constraints(matrix, words, system) -> bool:
 
 _COORD_WORDS = (("x", "x"), ("x", "y"), ("y", "x"), ("y", "y"))
 _DIFF_WORDS = (("xi", "xi"), ("xi", "eta"), ("eta", "xi"), ("eta", "eta"))
+# x^i xi^j, then xi^i' x^j', each in Rhat's (first factor major) order
+_MIXED_WORDS = (("x", "xi"), ("x", "eta"), ("y", "xi"), ("y", "eta"),
+                ("xi", "x"), ("xi", "y"), ("eta", "x"), ("eta", "y"))
+
+
+def _projector_constraints(p1, p2, system) -> bool:
+    return (_vector_constraints(p1, _COORD_WORDS, system)
+            and _vector_constraints(p2, _DIFF_WORDS, system))
 
 
 def pure_sector_consistency(d) -> bool:
     """P1 kills coordinate bilinears and P2 kills differential bilinears,
     with the coupling fully symbolic.  Works for all three families."""
     spec = deformation(d)
-    system = build_pure_system(spec)
-    p1, p2 = projectors(spec)
-    return (_vector_constraints(p1, _COORD_WORDS, system)
-            and _vector_constraints(p2, _DIFF_WORDS, system))
+    return _projector_constraints(*projectors(spec), build_pure_system(spec))
 
 
-def projector_consistency(ps) -> bool:
+def projector_consistency(ps: PlaneSystem) -> bool:
     """Pure-sector projector constraints plus the mixed reordering
     x^i xi^j = (1/(1-X)) Rhat^{ij}_{i'j'} xi^{i'} x^{j'}, all reduced to
-    normal form inside the full system.
-
-    A deformation id may be passed instead of a PlaneSystem; the fermionic
-    family has no mixed rules, so only its pure sectors are checked then.
-    """
-    if not isinstance(ps, PlaneSystem):
-        return pure_sector_consistency(ps)
-    spec = deformation(ps.deformation)
-    p1, p2 = projectors(spec, ps.k)
-    if not _vector_constraints(p1, _COORD_WORDS, ps.rules):
-        return False
-    if not _vector_constraints(p2, _DIFF_WORDS, ps.rules):
-        return False
-    rhat = build_rhat(spec, ps.k)
-    coords = ("x", "y")
-    diffs = ("xi", "eta")
-    c = ONE / ps.one_minus_X
-    for i in range(2):
-        for j in range(2):
-            rhs = NCPoly.zero()
-            for ii in range(2):
-                for jj in range(2):
-                    rhs = rhs + NCPoly.from_word(
-                        (diffs[ii], coords[jj]), rhat[2 * i + j, 2 * ii + jj])
-            defect = _word(coords[i], diffs[j]) - rhs.scale(c)
-            if not normal_order(defect, ps.rules).is_zero():
-                return False
-    return True
+    normal form inside the full system."""
+    ident = ParamMatrix.identity(4)
+    rhat = build_rhat(ps.deformation, ps.k).scale(-ONE / ps.one_minus_X)
+    mixed = ParamMatrix(4, 8, [e for i in range(4) for e in ident.row(i) + rhat.row(i)])
+    return (_projector_constraints(*projectors(ps.deformation, ps.k), ps.rules)
+            and _vector_constraints(mixed, _MIXED_WORDS, ps.rules))
 
 
 def phi_nilpotent(ps: PlaneSystem) -> bool:
-    f = phi(ps)
+    f = phi_poly(ps.deformation)
     return normal_order(f * f, ps.rules).is_zero()
 
 
@@ -199,7 +186,7 @@ def phi_commutators(ps: PlaneSystem) -> bool:
     k = ps.k
     c = ONE / ps.one_minus_X
     p, q, g, h = sym("p"), sym("q"), sym("g"), sym("h")
-    f = phi(ps)
+    f = phi_poly(ps.deformation)
     x_, y_, xi_, eta_ = (NCPoly.gen(n) for n in ("x", "y", "xi", "eta"))
     if ps.deformation == "pq":
         checks = [

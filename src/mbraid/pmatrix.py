@@ -11,6 +11,9 @@ not canonical, and the order of a sum can change how it is written.
 Elimination (inverse, rank, nullspace) is plain Gauss-Jordan with the first
 nonzero entry as pivot, scanning top to bottom; division is exact, and the
 fixed pivot rule keeps every result deterministic.
+
+SWAP is the 4x4 tensor-factor swap P, the one copy of it: catalog.build_r
+multiplies by it and flip21 conjugates by it.
 """
 
 from __future__ import annotations
@@ -133,17 +136,6 @@ def kron(a: ParamMatrix, b: ParamMatrix) -> ParamMatrix:
     return ParamMatrix(a.rows * b.rows, a.cols * b.cols, out)
 
 
-def flip21(m: ParamMatrix) -> ParamMatrix:
-    """Conjugation by the tensor-factor swap: flip21(x y) = flip21(x) flip21(y).
-
-    P.m.P for the 4x4 factor-swap P, done by index shuffling."""
-    if (m.rows, m.cols) != (4, 4):
-        raise DimensionMismatch("factor swap is defined for 4x4 matrices")
-    perm = (0, 2, 1, 3)
-    data = [m[perm[i], perm[j]] for i in range(4) for j in range(4)]
-    return ParamMatrix(4, 4, data)
-
-
 def embed12(r: ParamMatrix) -> ParamMatrix:
     """r acting on factors 1,2 of a triple tensor product: r (x) I."""
     return kron(r, ParamMatrix.identity(2))
@@ -175,6 +167,14 @@ def perm_operator(sigma) -> ParamMatrix:
             col = 2 * col + bits[sig[t] - 1]
         data[row * size + col] = ONE
     return ParamMatrix(size, size, data)
+
+
+SWAP = perm_operator((2, 1))  # the 4x4 tensor-factor swap P
+
+
+def flip21(m: ParamMatrix) -> ParamMatrix:
+    """Conjugation by the tensor-factor swap: flip21(x y) = flip21(x) flip21(y)."""
+    return SWAP @ m @ SWAP
 
 
 def _rref(m: ParamMatrix):

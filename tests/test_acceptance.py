@@ -25,7 +25,7 @@ from mbraid.identities import (DegenerateValues, affine_decomposition,
                                mbe_residual, s_shift_check)
 from mbraid.ncalgebra import build_group_system, diamond_check
 from mbraid.plane import (build_plane_system, phi_commutators, phi_nilpotent,
-                          projector_consistency)
+                          projector_consistency, pure_sector_consistency)
 from mbraid.pmatrix import ParamMatrix, flip21, inverse
 from mbraid.rtt import rtt_residual, solve_family
 from mbraid.scalars import (ONE, limit_u0, substitute, sym,
@@ -110,7 +110,7 @@ def test_criterion_09_plane_suite_at_exact_couplings():
         assert projector_consistency(ps), d
         assert phi_nilpotent(ps), d
         assert phi_commutators(ps), d
-    assert projector_consistency("qh")
+    assert pure_sector_consistency("qh")
     for d in ("pq", "gh"):
         spec = deformation(d)
         couplings = [spec.K1] + ([] if spec.K2 == spec.K1 else [spec.K2])

@@ -1,4 +1,6 @@
-"""Every name that a module under src/ or tests/ imports is used in it."""
+"""Static scans: every name that a module under src/ or tests/ imports is
+used in it, and every field of a dataclass under src/ is read as an
+attribute somewhere in src/, tests/ or bench/."""
 
 import ast
 from pathlib import Path
@@ -49,3 +51,31 @@ def test_no_unused_imports_in_src_and_tests():
         unused += [f"{path.relative_to(ROOT)}:{line}: {name}"
                    for name, line in _imported(tree) if name not in used]
     assert not unused, "unused imports:\n" + "\n".join(unused)
+
+
+def _dataclass_fields(tree):
+    """(class, field, line) per annotated field of a @dataclass class."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for dec in node.decorator_list:
+            target = dec.func if isinstance(dec, ast.Call) else dec
+            if getattr(target, "id", getattr(target, "attr", None)) == "dataclass":
+                for stmt in node.body:
+                    if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+                        yield node.name, stmt.target.id, stmt.lineno
+
+
+def test_every_dataclass_field_is_read():
+    read, fields = set(), []
+    for top in ("src", "tests", "bench"):
+        for path in sorted((ROOT / top).rglob("*.py")):
+            tree = ast.parse(path.read_text(), filename=str(path))
+            read |= {n.attr for n in ast.walk(tree)
+                     if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+            if top == "src":
+                fields += [(path, *f) for f in _dataclass_fields(tree)]
+    assert fields
+    dead = [f"{path.relative_to(ROOT)}:{line}: {cls}.{name}"
+            for path, cls, name, line in fields if name not in read]
+    assert not dead, "dataclass fields never read:\n" + "\n".join(dead)

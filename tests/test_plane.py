@@ -2,12 +2,15 @@
 
 import pytest
 
+from mbraid.catalog import DEFORMATIONS
+from mbraid.checks import registered_checks
+from mbraid.cli import main
 from mbraid.identities import mbe_factor
-from mbraid.ncalgebra import (PLANE, NCPoly, RewriteSystem, critical_pairs,
-                              diamond_check, normal_order)
-from mbraid.plane import (PlaneSystem, UnsupportedDeformation, build_plane_system,
-                          phi, phi_commutators, phi_nilpotent, projector_consistency,
-                          pure_sector_consistency)
+from mbraid.ncalgebra import (PLANE, NCPoly, RewriteRule, RewriteSystem,
+                              critical_pairs, diamond_check, normal_order)
+from mbraid.plane import (MIXED, PlaneSystem, UnsupportedDeformation, build_plane_system,
+                          phi_commutators, phi_nilpotent, phi_poly,
+                          projector_consistency, pure_sector_consistency)
 from mbraid.scalars import ONE, poly_divmod_in, substitute, sym
 
 K, P, Q, G, H = sym("K"), sym("p"), sym("q"), sym("g"), sym("h")
@@ -46,7 +49,6 @@ def test_pure_sector_consistency_all_families():
 def test_projector_consistency_symbolic():
     assert projector_consistency(build_plane_system("pq"))
     assert projector_consistency(build_plane_system("gh"))
-    assert projector_consistency("qh")
 
 
 def test_projector_consistency_negative_control():
@@ -58,9 +60,40 @@ def test_projector_consistency_negative_control():
     assert not projector_consistency(broken)
 
 
+@pytest.mark.parametrize("d", MIXED)
+@pytest.mark.parametrize("lhs", [("x", "xi"), ("x", "eta"), ("y", "xi"), ("y", "eta")])
+def test_projector_consistency_sees_a_doubled_mixed_rule(d, lhs):
+    # the control above drops a pure rule; this one breaks only the mixed sector
+    ps = build_plane_system(d)
+    rules = [RewriteRule(r.lhs, r.rhs.scale(2) if r.lhs == lhs else r.rhs)
+             for r in ps.rules.by_lhs.values()]
+    broken = PlaneSystem(d, ps.k, RewriteSystem(f"{d}-broken", PLANE, rules),
+                         ps.one_minus_X)
+    assert not projector_consistency(broken)
+    assert pure_sector_consistency(d)
+
+
+def test_mixed_is_the_one_owner_of_the_family_split(capsys):
+    pure_only = set()
+    for d in DEFORMATIONS:
+        try:
+            build_plane_system(d)
+        except UnsupportedDeformation:
+            pure_only.add(d)
+    assert pure_only == set(DEFORMATIONS) - set(MIXED)
+    for name in ("phi-nilpotent", "phi-commutators", "diamond-at-couplings"):
+        rows = [d for scope, n, d, _ in registered_checks() if (scope, n) == ("plane", name)]
+        assert tuple(rows) == MIXED, name
+    for d in DEFORMATIONS:
+        code = main(["plane", "--deformation", d, "--K", "1", "--expr", "x*eta"])
+        assert code == (0 if d in MIXED else 2), d
+    assert "--K has no effect" in capsys.readouterr().err
+
+
 def test_phi_goldens():
-    assert phi(build_plane_system("pq")) == w("eta", "x") - w("xi", "y").scale(P)
-    f = phi(build_plane_system("gh"))
+    pq, gh = build_plane_system("pq"), build_plane_system("gh")
+    assert phi_poly(pq.deformation) == w("eta", "x") - w("xi", "y").scale(P)
+    f = phi_poly(gh.deformation)
     assert f == w("eta", "x") - w("xi", "y") + w("eta", "y").scale(G)
     at_g0 = f.map_coeffs(lambda c: substitute(c, {"g": 0}))
     assert at_g0 == w("eta", "x") - w("xi", "y")
@@ -82,7 +115,7 @@ def test_gh_commutator_coefficients_are_forced():
     # (g - h), not (h - g).  Both alternatives fail.
     ps = build_plane_system("gh")
     c = ONE / ps.one_minus_X
-    f = phi(ps)
+    f = phi_poly(ps.deformation)
     y_, xi_, eta_ = NCPoly.gen("y"), NCPoly.gen("xi"), NCPoly.gen("eta")
     assert normal_order(y_ * f - (f * y_).scale(c * K), ps.rules).is_zero()
     assert not normal_order(y_ * f - (f * y_).scale(c * K * Q), ps.rules).is_zero()
@@ -108,7 +141,7 @@ def test_mixed_rules_carry_k_only_through_phi():
     # (1-X) * rhs splits into a K-free part plus K * (K-free scalar) * Phi
     for d in ("pq", "gh"):
         ps = build_plane_system(d)
-        f = phi(ps)
+        f = phi_poly(ps.deformation)
         probe = next(iter(f.coeffs))
         for lhs in (("x", "xi"), ("x", "eta"), ("y", "xi"), ("y", "eta")):
             rhs = ps.rules.by_lhs[lhs].rhs

@@ -71,6 +71,26 @@ def test_flip21_swaps_kron_factors():
     assert flip21(flip21(x)) == x
 
 
+def test_flip21_is_the_swap_conjugation():
+    for rows, cols in ((2, 2), (4, 2)):
+        with pytest.raises(DimensionMismatch):
+            flip21(ParamMatrix(rows, cols, [ONE] * (rows * cols)))
+    entries = [K * n + P / Q for n in range(16)]
+    entries[0] = entries[5] = entries[10] = ZERO
+    entries[7] = K - K  # a zero that is not the ZERO object
+    entries[9] = ONE
+    m = ParamMatrix(4, 4, entries)
+    out = flip21(m)
+    perm = (0, 2, 1, 3)
+    for i in range(4):
+        for j in range(4):
+            e = m[perm[i], perm[j]]
+            if e.is_zero():
+                assert out[i, j].is_zero(), (i, j)
+            else:
+                assert out[i, j] is e, (i, j)
+
+
 def test_embeddings_commute_when_disjoint():
     rng = random.Random(17)
     a = _random_matrix(rng, 4, 4)
