@@ -1,6 +1,8 @@
 """Command-line front end: argparse and the verbs, ``run_verify`` over the
 check registry in ``checks``, the RTT solver, a numeric coupling scan with
 CSV output, and expression normal-ordering behind a small exact parser.
+Each verb's handler sits on its subparser (``set_defaults(run=...)``), and
+the ``--scope`` choices are the registry's own scopes.
 
 Output discipline: all arithmetic is exact; decimals appear only in the scan
 CSV, produced at the last moment with 17 significant digits so identical
@@ -342,10 +344,18 @@ def _horner(coeffs: list, a: int, b: int) -> tuple:
 
 # -- verification --------------------------------------------------------
 
+def _scopes(checks) -> tuple:
+    """The scope 'all', then the registry's scopes in their order."""
+    return ("all", *dict.fromkeys(scope for scope, _, _, _ in checks))
+
+
 def run_verify(scope: str = "all", json_out: bool = False, stream=None) -> int:
     stream = sys.stdout if stream is None else stream
+    checks = registered_checks()
+    if scope not in _scopes(checks):
+        raise ValueError(f"unknown scope {scope!r}; expected one of {_scopes(checks)}")
     results = []
-    for check_scope, name, d, fn in registered_checks():
+    for check_scope, name, d, fn in checks:
         if scope not in ("all", check_scope):
             continue
         try:
@@ -390,14 +400,14 @@ def _build_argparser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="verb", required=True)
 
     verify = sub.add_parser("verify", help="run registered symbolic checks")
-    verify.add_argument("--scope", default="all",
-                        choices=("all", "catalog", "rtt", "identities",
-                                 "plane", "contraction"))
+    verify.add_argument("--scope", default="all", choices=_scopes(registered_checks()))
     verify.add_argument("--json", action="store_true")
+    verify.set_defaults(run=lambda args: run_verify(args.scope, args.json))
 
     solve = sub.add_parser("solve-rtt", help="solve RTT for the R-matrix family")
     solve.add_argument("--deformation", required=True, choices=DEFORMATIONS)
     solve.add_argument("--json", action="store_true")
+    solve.set_defaults(run=_do_solve_rtt)
 
     scan = sub.add_parser("scan", help="numeric braid-defect scan over K")
     scan.add_argument("--deformation", required=True, choices=DEFORMATIONS)
@@ -408,15 +418,18 @@ def _build_argparser() -> argparse.ArgumentParser:
     scan.add_argument("--steps", type=int, required=True)
     scan.add_argument("--csv", required=True, metavar="PATH")
     scan.add_argument("--json", action="store_true")
+    scan.set_defaults(run=_do_scan)
 
     plane = sub.add_parser("plane", help="normal-order an expression in a plane")
     plane.add_argument("--deformation", default="pq", choices=DEFORMATIONS)
     plane.add_argument("--K", type=_rational, default=None)
     plane.add_argument("--expr", required=True)
     plane.add_argument("--json", action="store_true")
+    plane.set_defaults(run=_do_plane)
 
     contract = sub.add_parser("contract", help="run the contraction suite")
     contract.add_argument("--json", action="store_true")
+    contract.set_defaults(run=lambda args: run_verify("contraction", args.json))
     return ap
 
 
@@ -431,19 +444,17 @@ def _do_solve_rtt(args) -> int:
     try:
         mats = solve_family(args.deformation)
     except SpanMismatch as exc:
-        _emit(args, {"check": "rtt:solver", "deformation": args.deformation,
-                     "status": "FAIL", "detail": str(exc)}, f"FAIL {exc}")
-        return 1
-    detail = f"nullspace dimension {len(mats)}; catalog family in span"
+        mats, status, detail = [], "FAIL", str(exc)
+    else:
+        status, detail = "PASS", f"nullspace dimension {len(mats)}; catalog family in span"
     _emit(args, {"check": "rtt:solver", "deformation": args.deformation,
-                 "status": "PASS", "detail": detail},
-          f"PASS {detail}")
+                 "status": status, "detail": detail}, f"{status} {detail}")
     if not args.json:
         for idx, m in enumerate(mats):
             sys.stdout.write(f"basis[{idx}]:\n")
             for i in range(m.rows):
                 sys.stdout.write("  " + "  ".join(str(m[i, j]) for j in range(m.cols)) + "\n")
-    return 0
+    return 1 if status == "FAIL" else 0
 
 
 def _do_scan(args) -> int:
@@ -489,17 +500,7 @@ def _do_plane(args) -> int:
 
 def main(argv=None) -> int:
     args = _build_argparser().parse_args(argv)
-    if args.verb == "verify":
-        return run_verify(args.scope, args.json)
-    if args.verb == "solve-rtt":
-        return _do_solve_rtt(args)
-    if args.verb == "scan":
-        return _do_scan(args)
-    if args.verb == "plane":
-        return _do_plane(args)
-    if args.verb == "contract":
-        return run_verify("contraction", args.json)
-    raise AssertionError(f"unhandled verb {args.verb!r}")
+    return args.run(args)
 
 
 if __name__ == "__main__":

@@ -94,15 +94,12 @@ def _transported_rules(plain_system, to_tilde, tilde_alphabet) -> RewriteSystem:
     pivots = [tuple(TILDE_OF[n] for n in lhs) for lhs in plain_system.by_lhs]
     rest = [(x1, x2) for x1 in tilde_alphabet for x2 in tilde_alphabet
             if (x1, x2) not in set(pivots)]
-    a_cols, b_cols = [], []
+    a_rows, b_rows = [], []
     for lhs, rule in plain_system.by_lhs.items():
         rel = change_of_basis(NCPoly.from_word(lhs) - rule.rhs, to_tilde)
-        a_cols.append([rel.coefficient(w) for w in pivots])
-        b_cols.append([rel.coefficient(w) for w in rest])
-    n = len(pivots)
-    amat = ParamMatrix(n, n, [a_cols[i][j] for i in range(n) for j in range(n)])
-    bmat = ParamMatrix(n, len(rest), [cf for row in b_cols for cf in row])
-    solved = inverse(amat) @ bmat
+        a_rows.append([rel.coefficient(w) for w in pivots])
+        b_rows.append([rel.coefficient(w) for w in rest])
+    solved = inverse(ParamMatrix.from_rows(a_rows)) @ ParamMatrix.from_rows(b_rows)
     rules = []
     for i, lhs in enumerate(pivots):
         rhs = NCPoly({rest[j]: -solved[i, j] for j in range(len(rest))})

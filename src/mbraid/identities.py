@@ -75,17 +75,16 @@ def mbe_r_form(d) -> ParamMatrix:
 
 
 def braid_divisibility(d) -> bool:
-    """Every entry of symbolic B(K) is divisible by (K - K1)(K - K2)."""
+    """Every entry of symbolic B(K) is divisible by the numerator of lam(K),
+    which is (K - K1)(K - K2) up to a K-free factor."""
     spec = deformation(d)
-    k = sym("K")
-    divisor = (k - spec.K1) * (k - spec.K2)
-    b = braid_residual(spec)
-    for e in b.data:
+    divisor = mbe_factor(spec).num
+    for e in braid_residual(spec).data:
         if e.is_zero():
             continue
         if "K" in e.den.symbols():
             return False
-        _, rem = poly_divmod_in(e.num, divisor.num, "K")
+        _, rem = poly_divmod_in(e.num, divisor, "K")
         if rem:
             return False
     return True

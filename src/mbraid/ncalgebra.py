@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
+from .catalog import deformation
 from .scalars import ONE, ZERO, RatFunc, as_ratfunc, sym
 
 Word = tuple
@@ -287,7 +288,7 @@ def _rule(lhs: Word, terms: list) -> RewriteRule:
 def build_group_system(d) -> RewriteSystem:
     """Oriented quadratic relations of the 2x2 quantum-group algebra for one
     deformation.  Right-hand sides are stored fully normal-ordered."""
-    did = getattr(d, "id", d)
+    did = deformation(d).id
     p, q, g, h = sym("p"), sym("q"), sym("g"), sym("h")
     if did == "pq":
         rules = [
@@ -310,7 +311,7 @@ def build_group_system(d) -> RewriteSystem:
                                (g * h, ("a", "c")), (-g, ("d", "d"))]),
             _rule(("d", "c"), [(ONE, ("c", "d")), (h, ("c", "c"))]),
         ]
-    elif did == "qh":
+    else:
         rules = [
             _rule(("b", "a"), [(ONE, ("a", "b")), (h, ("c", "d"))]),
             _rule(("c", "a"), [(ONE / q, ("a", "c"))]),
@@ -321,6 +322,4 @@ def build_group_system(d) -> RewriteSystem:
             _rule(("c", "c"), []),
             _rule(("d", "d"), [(ONE, ("a", "a")), (-(q + 1) / h, ("b", "b"))]),
         ]
-    else:
-        raise ValueError(f"unknown deformation {did!r}")
     return RewriteSystem(did, GROUP, rules)

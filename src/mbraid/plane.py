@@ -70,14 +70,12 @@ def _pure_rules(did: str):
             RewriteRule(("eta", "eta"), NCPoly.zero()),
             RewriteRule(("eta", "xi"), -_word("xi", "eta")),
         ]
-    if did == "qh":
-        return [
-            RewriteRule(("y", "x"), _word("x", "y").scale(ONE / q)),
-            RewriteRule(("y", "y"), NCPoly.zero()),
-            RewriteRule(("eta", "xi"), -_word("xi", "eta")),
-            RewriteRule(("eta", "eta"), _word("xi", "xi").scale(-(1 + q) / h)),
-        ]
-    raise ValueError(f"unknown deformation {did!r}")
+    return [
+        RewriteRule(("y", "x"), _word("x", "y").scale(ONE / q)),
+        RewriteRule(("y", "y"), NCPoly.zero()),
+        RewriteRule(("eta", "xi"), -_word("xi", "eta")),
+        RewriteRule(("eta", "eta"), _word("xi", "xi").scale(-(1 + q) / h)),
+    ]
 
 
 def build_pure_system(d) -> RewriteSystem:
@@ -132,13 +130,8 @@ def build_plane_system(d, k=None) -> PlaneSystem:
 
 def _vector_constraints(matrix, words, system) -> bool:
     # each matrix row, contracted with the word vector, must reduce to zero
-    for i in range(matrix.rows):
-        total = NCPoly.zero()
-        for j, w in enumerate(words):
-            total = total + NCPoly.from_word(w, matrix[i, j])
-        if not normal_order(total, system).is_zero():
-            return False
-    return True
+    return all(normal_order(NCPoly(dict(zip(words, matrix.row(i)))), system).is_zero()
+               for i in range(matrix.rows))
 
 
 _COORD_WORDS = (("x", "x"), ("x", "y"), ("y", "x"), ("y", "y"))

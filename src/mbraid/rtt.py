@@ -56,7 +56,7 @@ def rtt_residual(r: ParamMatrix, system: RewriteSystem) -> list:
 
 def assemble(d) -> ParamMatrix:
     """Linear system over the 16 entries of R, one row per (cell, word)."""
-    system = build_group_system(deformation(d).id)
+    system = build_group_system(d)
     rows: dict = {}
     for column in range(16):
         unit = [ZERO] * 16

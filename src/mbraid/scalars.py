@@ -24,6 +24,8 @@ wrapped without multiplying the denominators or renormalizing.  Negation
 never renormalizes, because negating the numerator keeps the content, the
 common monomial factor and the sign of the denominator.  A fast-path result
 has the same terms, in the same order, as normalization would give.
+Sums and differences share one rule, ``RatFunc._combine``, which takes the
+numerator operation (``Poly.__add__`` or ``Poly.__sub__``) as an argument.
 
 Multivariate gcd cancellation is deliberately not attempted, so two equal
 values may have different representations; equality always goes through
@@ -269,35 +271,28 @@ class RatFunc:
 
     __hash__ = None
 
-    def __add__(self, other):
+    def _combine(self, other, op):
+        """self + other or self - other, op being Poly.__add__ or Poly.__sub__."""
         o = as_ratfunc(other)
         if o is None:
             return NotImplemented
         if not o.num.terms:
             return self
         if not self.num.terms:
-            return o
+            return o if op is Poly.__add__ else -o
         if self.den.terms == o.den.terms:
             if self.den.terms == _UNIT_TERMS:
-                return RatFunc._normal(self.num + o.num)
-            return RatFunc(self.num + o.num, self.den)
-        return RatFunc(self.num * o.den + o.num * self.den, self.den * o.den)
+                return RatFunc._normal(op(self.num, o.num))
+            return RatFunc(op(self.num, o.num), self.den)
+        return RatFunc(op(self.num * o.den, o.num * self.den), self.den * o.den)
+
+    def __add__(self, other):
+        return self._combine(other, Poly.__add__)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = as_ratfunc(other)
-        if o is None:
-            return NotImplemented
-        if not o.num.terms:
-            return self
-        if not self.num.terms:
-            return -o
-        if self.den.terms == o.den.terms:
-            if self.den.terms == _UNIT_TERMS:
-                return RatFunc._normal(self.num - o.num)
-            return RatFunc(self.num - o.num, self.den)
-        return RatFunc(self.num * o.den - o.num * self.den, self.den * o.den)
+        return self._combine(other, Poly.__sub__)
 
     def __rsub__(self, other):
         o = as_ratfunc(other)
@@ -405,6 +400,8 @@ def substitute(x: RatFunc, bindings: Mapping[str, Scalar]) -> RatFunc:
         if name not in _SYM_INDEX:
             raise UnknownSymbolError(f"unknown symbol {name!r}; alphabet is {SYMBOLS}")
         vals[name] = as_ratfunc(v)
+        if vals[name] is None:
+            raise TypeError(f"binding for {name!r} must be a scalar, got {type(v).__name__}")
     for name, v in vals.items():
         clash = v.symbols() & set(vals)
         if clash:

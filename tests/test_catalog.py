@@ -14,6 +14,8 @@ from mbraid.catalog import (
     projectors,
     triangular_K,
 )
+from mbraid.ncalgebra import build_group_system
+from mbraid.plane import build_plane_system, build_pure_system
 from mbraid.pmatrix import ParamMatrix, flip21, inverse
 from mbraid.scalars import ONE, DivisionByZero, sym, vanishes_at_sqrt
 
@@ -21,6 +23,15 @@ K = sym("K")
 P = sym("p")
 Q = sym("q")
 I4 = ParamMatrix.identity(4)
+
+
+def test_every_builder_rejects_an_unknown_family_with_the_catalog_error():
+    with pytest.raises(ValueError) as want:
+        deformation("xy")
+    for build in (build_rhat, build_group_system, build_pure_system, build_plane_system):
+        with pytest.raises(ValueError) as got:
+            build("xy")
+        assert str(got.value) == str(want.value), build.__name__
 
 
 def test_deformation_registry():

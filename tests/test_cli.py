@@ -20,6 +20,7 @@ from mbraid.identities import braid_residual
 from mbraid.ncalgebra import NCPoly, RewriteRule, RewriteSystem
 from mbraid.pmatrix import ParamMatrix
 from mbraid.plane import phi_poly
+from mbraid.rtt import SpanMismatch
 from mbraid.scalars import DivisionByZero, UnknownSymbolError, substitute, sym
 
 K = sym("K")
@@ -264,6 +265,13 @@ def test_scan_validates_inputs(tmp_path):
                  str(tmp_path / "x.csv"))
 
 
+def test_scan_refuses_a_float_binding(tmp_path):
+    path = tmp_path / "x.csv"
+    with pytest.raises(TypeError, match="'p' must be a scalar, got float"):
+        run_scan("pq", {"p": 2.5, "q": 3}, 0, 1, 3, str(path))
+    assert not path.exists()
+
+
 def test_scan_rejects_steps_above_bound(tmp_path):
     out = tmp_path / "x.csv"
     with pytest.raises(ValueError):
@@ -332,6 +340,59 @@ def test_verify_flags_corrupted_catalog(monkeypatch):
     buf = io.StringIO()
     assert run_verify("catalog", stream=buf) == 1
     assert "FAIL" in buf.getvalue()
+
+
+def test_verify_refuses_an_unknown_scope():
+    # argparse checks --scope on the command line; this is the check for direct callers
+    scopes = ("all", "catalog", "rtt", "identities", "plane", "contraction")
+    for json_out in (False, True):
+        buf = io.StringIO()
+        with pytest.raises(ValueError, match="unknown scope 'identity'") as exc:
+            run_verify("identity", json_out=json_out, stream=buf)
+        assert all(repr(scope) in str(exc.value) for scope in scopes)
+        assert buf.getvalue() == ""
+
+
+def test_scope_choices_come_from_the_registry():
+    ap = cli._build_argparser()
+    verbs = next(a for a in ap._actions if isinstance(a, argparse._SubParsersAction))
+    scope = next(a for a in verbs.choices["verify"]._actions if a.dest == "scope")
+    registry = tuple(dict.fromkeys(entry[0] for entry in registered_checks()))
+    assert tuple(scope.choices) == ("all", *registry)
+
+
+def test_main_json_output_is_a_list_of_records(tmp_path, capsys):
+    for argv in (["solve-rtt", "--deformation", "gh"],
+                 ["scan", "--deformation", "gh", "--g", "2", "--h", "3", "--kmin", "0",
+                  "--kmax", "1", "--steps", "3", "--csv", str(tmp_path / "x.csv")],
+                 ["plane", "--deformation", "gh", "--K", "1", "--expr", "x*eta"],
+                 ["contract"]):
+        assert main(argv + ["--json"]) == 0
+        records = json.loads(capsys.readouterr().out)
+        assert isinstance(records, list) and records, argv
+        for record in records:
+            assert set(record) == {"check", "deformation", "status", "detail"}, argv
+            assert record["status"] == "PASS", argv
+
+
+def test_main_solve_rtt_reports_a_span_mismatch(monkeypatch, capsys):
+    def mismatch(d):
+        raise SpanMismatch(f"{d}: catalog matrix outside the solution span")
+
+    monkeypatch.setattr(cli, "solve_family", mismatch)
+    assert main(["solve-rtt", "--deformation", "qh"]) == 1
+    assert capsys.readouterr().out == "FAIL qh: catalog matrix outside the solution span\n"
+    assert main(["solve-rtt", "--deformation", "qh", "--json"]) == 1
+    assert json.loads(capsys.readouterr().out) == [{
+        "check": "rtt:solver", "deformation": "qh", "status": "FAIL",
+        "detail": "qh: catalog matrix outside the solution span"}]
+
+
+def test_main_plane_trailing_token_is_a_usage_error(capsys):
+    assert main(["plane", "--expr", "x)"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: unexpected ')' at offset 1\n"
 
 
 def test_main_verify_exit_code(capsys):

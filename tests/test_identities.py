@@ -16,6 +16,7 @@ from mbraid.identities import (
     mbe_residual,
     s_shift_check,
 )
+from mbraid.pmatrix import ParamMatrix
 from mbraid.scalars import sym
 
 K = sym("K")
@@ -57,6 +58,22 @@ def test_braid_residual_vanishes_at_degeneracy_couplings():
 def test_braid_entries_divisible_by_degeneracy_quadratic():
     for did in DEFORMATIONS:
         assert braid_divisibility(did), did
+
+
+def test_braid_divisibility_rejects_an_entry_lam_does_not_divide(monkeypatch):
+    # a K-free remainder, then K in a denominator
+    for entry in (K, 1 / K):
+        monkeypatch.setattr(identities, "braid_residual",
+                            lambda d, entry=entry: ParamMatrix.from_rows([[entry]]))
+        for did in DEFORMATIONS:
+            assert not braid_divisibility(did), (did, str(entry))
+
+
+def test_braid_divisibility_divides_by_the_defect_factor(monkeypatch):
+    real = identities.mbe_factor
+    monkeypatch.setattr(identities, "mbe_factor", lambda d: real(d) + 1)
+    for did in DEFORMATIONS:
+        assert not braid_divisibility(did), did
 
 
 def test_s_shift_symbolic_and_root():

@@ -1,6 +1,7 @@
 """Static scans: every name that a module under src/ or tests/ imports is
-used in it, and every field of a dataclass under src/ is read as an
-attribute somewhere in src/, tests/ or bench/."""
+used in it, every field of a dataclass under src/ is read as an attribute
+somewhere in src/, tests/ or bench/, and family ids are validated only by
+catalog.deformation."""
 
 import ast
 from pathlib import Path
@@ -79,3 +80,11 @@ def test_every_dataclass_field_is_read():
     dead = [f"{path.relative_to(ROOT)}:{line}: {cls}.{name}"
             for path, cls, name, line in fields if name not in read]
     assert not dead, "dataclass fields never read:\n" + "\n".join(dead)
+
+
+def test_only_the_catalog_validates_family_ids():
+    sources = {path.name: path.read_text() for path in (ROOT / "src").rglob("*.py")}
+    assert "unknown deformation" in sources["catalog.py"]
+    assert [name for name, text in sources.items()
+            if "unknown deformation" in text and name != "catalog.py"] == []
+    assert [name for name, text in sources.items() if 'getattr(d, "id", d)' in text] == []

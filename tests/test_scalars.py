@@ -122,6 +122,13 @@ def test_substitute_rejects_clashing_bindings():
         substitute(K + P, {"K": P, "p": Q})
 
 
+def test_substitute_refuses_a_non_scalar_binding():
+    # a float is not exact and a str is not a value; both are named up front
+    for value, kind in ((2.5, "float"), ("2", "str")):
+        with pytest.raises(TypeError, match=f"'p' must be a scalar, got {kind}"):
+            substitute(K + P, {"p": value})
+
+
 def test_limit_u0():
     assert limit_u0((2 * U + U * U * P) / U) == const(2)
     assert limit_u0(substitute((1 - P) / U, {"p": 1 - G * U})) == G
