@@ -12,9 +12,8 @@ from .catalog import (DEFORMATIONS, braid_couplings, build_M, build_r,
 from .contraction import (_limit, contract_group_relations, contract_matrix,
                           contract_plane, frame)
 from .identities import (DegenerateValues, affine_decomposition,
-                         baxterization_check, braid_divisibility,
-                         braid_residual, mbe_factor, mbe_r_form, mbe_residual,
-                         s_shift_check)
+                         baxterization_check, braid_values_check, mbe_factor,
+                         mbe_r_form, mbe_residual, s_shift_check)
 from .ncalgebra import build_group_system, critical_pairs, termination_order
 from .plane import (MIXED, build_plane_system, phi_commutators, phi_nilpotent,
                     projector_consistency, pure_sector_consistency)
@@ -73,9 +72,8 @@ def _check_mbe_r_form(d):
 
 def _check_braid_values(d):
     spec = deformation(d)
-    ok = (all(braid_residual(spec, k).is_zero() for k in braid_couplings(spec))
-          and braid_divisibility(spec))
-    return ok, f"B = 0 at K1 = {spec.K1}, K2 = {spec.K2}; (K-K1)(K-K2) divides B"
+    return (braid_values_check(spec),
+            f"B = 0 at K1 = {spec.K1}, K2 = {spec.K2}; (K-K1)(K-K2) divides B")
 
 
 def _check_flip_inverse(d):

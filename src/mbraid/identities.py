@@ -16,13 +16,35 @@ X^2 - 4 lam = (K/K1 - K/K2)^2.  Both roots mu = 1 - K/Ki are rational, and
 S(1 - K/Ki) = (K/Ki) Rhat(Ki) satisfies the genuine braid relation
 (Jones' baxterization).  mbe_r_form carries the defect equation over to
 R = P.Rhat using permutation operators.
+
+How the defect is computed.  With N = Rhat - I and any scalar a,
+
+    defect(a I + N) = a^2 E1 + a E2 + E3,
+    E1 = N12 - N23,  E2 = (N^2)12 - (N^2)23,  E3 = N12 N23 N12 - N23 N12 N23,
+
+because a I commutes with everything.  _defect_coefficients splits N by
+powers of K into K-free 4x4 matrices and forms E1, E2 and E3 as
+polynomials in K with K-free 8x8 coefficients, never multiplying a zero
+coefficient.  For the catalog N = K A, so the K-dependence costs one 4x4
+A @ A and A12 A23 A12 - A23 A12 A23 over K-free entries, both triple
+products sharing the one product A12 A23.  _defect_at then evaluates a^2 E1 + a E2 + E3 - lam E1 at a
+coupling: the braid residual (a = 1), the MBE residual (a = 1 minus
+lam E1), the shifted family (a = 1 - mu, and a = K/Ki at each root) and the
+braid values.  Nothing assumes Rhat(0) = I or that Rhat is affine, so a
+constant or higher-power term in K is split like any other.  The one
+refusal is an entry with K in its denominator, which raises ValueError.
+Each check computes its own coefficients; none is cached or shared.
+mbe_r_form keeps the full symbolic triple product of R = P.Rhat, so it is
+an independent cross-check that the split loses nothing.  run_scan keeps
+_braid_defect on its bound matrix.
 """
 
 from __future__ import annotations
 
-from .catalog import braid_couplings, build_r, build_rhat, deformation, hecke_X
+from .catalog import (_coupling, braid_couplings, build_r, build_rhat,
+                      deformation, hecke_X)
 from .pmatrix import ParamMatrix, embed12, embed23, perm_operator
-from .scalars import RatFunc, poly_divmod_in, sym
+from .scalars import ONE, ZERO, RatFunc, poly_divmod_in, sym
 
 
 class DegenerateValues(ArithmeticError):
@@ -43,16 +65,66 @@ def _braid_defect(m: ParamMatrix) -> ParamMatrix:
     return m12 @ m23 @ m12 - m23 @ m12 @ m23
 
 
+def _mat_poly_mul(f: dict, g: dict) -> dict:
+    """Product of two {power of K: matrix} polynomials."""
+    out: dict = {}
+    for e, x in f.items():
+        for h, y in g.items():
+            z = x @ y
+            out[e + h] = out[e + h] + z if e + h in out else z
+    return out
+
+
+def _mat_poly_sub(f: dict, g: dict) -> dict:
+    out = dict(f)
+    for e, y in g.items():
+        out[e] = out[e] - y if e in out else -y
+    return out
+
+
+def _defect_coefficients(d) -> tuple:
+    """(E1, E2, E3), each {power of K: K-free 8x8 matrix}, with
+    defect(a I + N) = a^2 E1 + a E2 + E3 for N = Rhat - I."""
+    spec = deformation(d)
+    parts: dict = {}
+    for idx, e in enumerate((build_rhat(spec) - ParamMatrix.identity(4)).data):
+        if "K" in e.den.symbols():
+            raise ValueError(f"{spec.id}: Rhat[{idx // 4}, {idx % 4}] = {e} has K in its "
+                             "denominator; the braid defect is split only for Rhat "
+                             "polynomial in K")
+        for power, c in e.num.coeffs_in("K").items():
+            parts.setdefault(power, [ZERO] * 16)[idx] = RatFunc(c, e.den)
+    n = {power: ParamMatrix(4, 4, data) for power, data in sorted(parts.items())}
+    n12 = {power: embed12(m) for power, m in n.items()}
+    n23 = {power: embed23(m) for power, m in n.items()}
+    nn = _mat_poly_mul(n, n)
+    n12n23 = _mat_poly_mul(n12, n23)
+    return (_mat_poly_sub(n12, n23),
+            _mat_poly_sub({power: embed12(m) for power, m in nn.items()},
+                          {power: embed23(m) for power, m in nn.items()}),
+            _mat_poly_sub(_mat_poly_mul(n12n23, n12), _mat_poly_mul(n23, n12n23)))
+
+
+def _defect_at(coeffs: tuple, a: RatFunc, k: RatFunc, lam: RatFunc) -> ParamMatrix:
+    """a^2 E1 + a E2 + E3 - lam E1 at K = k: the braid defect of a I + N(k)
+    less lam (Rhat12 - Rhat23), an 8x8 matrix."""
+    e1, e2, e3 = coeffs
+    data = [ZERO] * 64
+    for weight, part in ((a * a - lam, e1), (a, e2), (ONE, e3)):
+        for power, m in part.items():
+            w = weight * k ** power
+            data = [x + w * y for x, y in zip(data, m.data)]
+    return ParamMatrix(8, 8, data)
+
+
 def braid_residual(d, k=None) -> ParamMatrix:
     """B(K) on the triple tensor product, an 8x8 matrix."""
-    return _braid_defect(build_rhat(d, k))
+    return _defect_at(_defect_coefficients(d), ONE, _coupling(k), ZERO)
 
 
 def mbe_residual(d) -> ParamMatrix:
     """B(K) - lam(K) (Rhat12 - Rhat23); identically zero for the catalog."""
-    rhat = build_rhat(d)
-    lam = mbe_factor(d)
-    return _braid_defect(rhat) - (embed12(rhat) - embed23(rhat)).scale(lam)
+    return _defect_at(_defect_coefficients(d), ONE, sym("K"), mbe_factor(d))
 
 
 def mbe_r_form(d) -> ParamMatrix:
@@ -78,8 +150,13 @@ def braid_divisibility(d) -> bool:
     """Every entry of symbolic B(K) is divisible by the numerator of lam(K),
     which is (K - K1)(K - K2) up to a K-free factor."""
     spec = deformation(d)
+    return _lam_divides(spec, braid_residual(spec))
+
+
+def _lam_divides(spec, residual: ParamMatrix) -> bool:
+    """Whether the numerator of lam(K) divides every entry of a symbolic B(K)."""
     divisor = mbe_factor(spec).num
-    for e in braid_residual(spec).data:
+    for e in residual.data:
         if e.is_zero():
             continue
         if "K" in e.den.symbols():
@@ -90,25 +167,32 @@ def braid_divisibility(d) -> bool:
     return True
 
 
+def braid_values_check(d) -> bool:
+    """B vanishes at each distinct braid coupling, and lam(K) divides the
+    symbolic B(K); the defect coefficients are computed once for both."""
+    spec = deformation(d)
+    coeffs = _defect_coefficients(spec)
+    return (all(_defect_at(coeffs, ONE, ki, ZERO).is_zero() for ki in braid_couplings(spec))
+            and _lam_divides(spec, _defect_at(coeffs, ONE, sym("K"), ZERO)))
+
+
 def s_shift_check(d) -> bool:
     """Shifted family S = Rhat - mu I.  With mu a free symbol,
         S12 S23 S12 - S23 S12 S23 = (mu^2 - X mu + lam)(S12 - S23),
     which follows from the defect equation plus Hecke.  The coefficient is
     (mu - 1 + K/K1)(mu - 1 + K/K2) exactly, and at its two rational roots
     mu = 1 - K/K1 and mu = 1 - K/K2 the genuine braid relation holds; a
-    double root (K1 = K2) is checked once.
+    double root (K1 = K2) is checked once.  S = (1 - mu) I + N, and at a
+    root S = (K/Ki) I + N.
     """
     spec = deformation(d)
-    ident = ParamMatrix.identity(4)
-    rhat = build_rhat(spec)
+    coeffs = _defect_coefficients(spec)
     mu = sym("u")  # u is unused by every catalog family, so it is free here
     coeff = mu * mu - hecke_X(spec) * mu + mbe_factor(spec)
-    s = rhat - ident.scale(mu)
-    shifted = _braid_defect(s) - (embed12(s) - embed23(s)).scale(coeff)
     k = sym("K")
     factored = (mu - 1 + k / spec.K1) * (mu - 1 + k / spec.K2)
-    return (shifted.is_zero() and coeff == factored
-            and all(_braid_defect(rhat - ident.scale(1 - k / ki)).is_zero()
+    return (_defect_at(coeffs, 1 - mu, k, coeff).is_zero() and coeff == factored
+            and all(_defect_at(coeffs, k / ki, k, ZERO).is_zero()
                     for ki in braid_couplings(spec)))
 
 

@@ -27,6 +27,12 @@ has the same terms, in the same order, as normalization would give.
 Sums and differences share one rule, ``RatFunc._combine``, which takes the
 numerator operation (``Poly.__add__`` or ``Poly.__sub__``) as an argument.
 
+A monomial is a six-field tuple, one exponent per entry of SYMBOLS.
+``Poly.__mul__`` unpacks both monomials of a term product into their six
+fields and builds the sum as a tuple literal, which is about twice as fast
+as ``tuple(map(add, m1, m2))``; a change of the alphabet has to change that
+unpack too (``tests/test_scalar_kernel.py`` pins ``len(SYMBOLS) == 6``).
+
 Multivariate gcd cancellation is deliberately not attempted, so two equal
 values may have different representations; equality always goes through
 cross-multiplication.  Because of this, RatFunc is unhashable on purpose.
@@ -39,7 +45,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from operator import add, sub
+from operator import sub
 from typing import Mapping, Union
 
 SYMBOLS = ("K", "p", "q", "g", "h", "u")
@@ -118,9 +124,10 @@ class Poly:
         if not self.terms or not other.terms:
             return Poly({})
         out: dict = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                mono = tuple(map(add, m1, m2))
+        # six fields, one per entry of SYMBOLS (see the module docstring)
+        for (k1, p1, q1, g1, h1, u1), c1 in self.terms.items():
+            for (k2, p2, q2, g2, h2, u2), c2 in other.terms.items():
+                mono = (k1 + k2, p1 + p2, q1 + q2, g1 + g2, h1 + h2, u1 + u2)
                 s = out.get(mono, 0) + c1 * c2
                 if s:
                     out[mono] = s

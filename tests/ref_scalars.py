@@ -5,12 +5,17 @@ normalized coefficients became int: ``Poly.__mul__``, ``Poly.scale`` and
 ``_normalized`` are kept verbatim, with the RatFunc operations built on them.
 It has no fast paths, so every result is computed the long way round.
 Operands must be RatFunc values of this module (no int coercion).
+
+``map_add_product`` keeps the loop of the int kernel's ``Poly.__mul__``
+before it unpacked monomials into their six fields, verbatim: it adds
+exponents with ``tuple(map(add, m1, m2))``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import add
 
 from mbraid.scalars import DivisionByZero
 
@@ -74,6 +79,23 @@ class Poly:
     def leading(self) -> tuple:
         mono = max(self.terms, key=_grlex)
         return mono, self.terms[mono]
+
+
+def map_add_product(left: dict, right: dict) -> dict:
+    """The term table of the product of two term tables, built by the old
+    int kernel's loop."""
+    if not left or not right:
+        return {}
+    out: dict = {}
+    for m1, c1 in left.items():
+        for m2, c2 in right.items():
+            mono = tuple(map(add, m1, m2))
+            s = out.get(mono, 0) + c1 * c2
+            if s:
+                out[mono] = s
+            else:
+                del out[mono]
+    return out
 
 
 _POLY_ZERO = Poly({})

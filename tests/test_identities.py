@@ -88,26 +88,40 @@ def test_s_shift_rejects_a_planted_defect_factor(monkeypatch):
         assert not s_shift_check(did), did
 
 
+def _count_defect_calls(monkeypatch):
+    """Record every _defect_at and _defect_coefficients call."""
+    calls = {"at": 0, "coefficients": 0}
+    real_at, real_coefficients = identities._defect_at, identities._defect_coefficients
+
+    def at(*args):
+        calls["at"] += 1
+        return real_at(*args)
+
+    def coefficients(d):
+        calls["coefficients"] += 1
+        return real_coefficients(d)
+
+    monkeypatch.setattr(identities, "_defect_at", at)
+    monkeypatch.setattr(identities, "_defect_coefficients", coefficients)
+    return calls
+
+
 def test_s_shift_checks_each_distinct_root_once(monkeypatch):
     # the symbolic shifted identity, then one braid relation per distinct root
-    real = identities._braid_defect
-    calls = []
-    monkeypatch.setattr(identities, "_braid_defect", lambda m: calls.append(1) or real(m))
+    calls = _count_defect_calls(monkeypatch)
     for did, want in (("pq", 3), ("gh", 2), ("qh", 3)):
-        calls.clear()
+        calls.update(at=0, coefficients=0)
         assert s_shift_check(did), did
-        assert len(calls) == want, did
+        assert calls == {"at": want, "coefficients": 1}, did
 
 
 def test_braid_values_checks_each_distinct_coupling_once(monkeypatch):
     # one braid relation per distinct coupling, then the symbolic B(K)
-    real = identities._braid_defect
-    calls = []
-    monkeypatch.setattr(identities, "_braid_defect", lambda m: calls.append(1) or real(m))
+    calls = _count_defect_calls(monkeypatch)
     for did, want in (("pq", 3), ("gh", 2), ("qh", 3)):
-        calls.clear()
+        calls.update(at=0, coefficients=0)
         assert checks._check_braid_values(did)[0], did
-        assert len(calls) == want, did
+        assert calls == {"at": want, "coefficients": 1}, did
 
 
 def test_affine_decomposition():

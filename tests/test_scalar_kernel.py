@@ -9,8 +9,8 @@ import pytest
 import ref_scalars as ref
 
 from mbraid import scalars
-from mbraid.scalars import (_POLY_ONE, _POLY_ZERO, ONE, DivisionByZero, Poly,
-                            RatFunc, _normalized)
+from mbraid.scalars import (_POLY_ONE, _POLY_ZERO, ONE, SYMBOLS, DivisionByZero,
+                            Poly, RatFunc, _normalized)
 
 NVARS = 6
 # per seed
@@ -216,3 +216,36 @@ def test_polynomial_fast_path_skips_normalization(monkeypatch):
     assert len(calls) == 1
     _ = x + rational
     assert len(calls) == 2
+
+
+def test_the_alphabet_has_the_six_fields_poly_mul_unpacks():
+    assert len(SYMBOLS) == 6, (
+        "Poly.__mul__ unpacks each monomial into exactly six fields, "
+        "(k, p, q, g, h, u); change that unpack together with SYMBOLS")
+
+
+@pytest.mark.parametrize("seed", [5, 6])
+def test_poly_mul_matches_the_map_add_loop(seed):
+    """Same terms, in the same insertion order, as the tuple(map(add, ...))
+    loop, with Fraction and int coefficients and with terms that cancel."""
+    rng = random.Random(seed)
+    pool = [_random_terms(rng, rng.randint(0, 5)) for _ in range(80)]
+    # (a + b)(a - b): the cross terms meet with opposite signs, so the loop
+    # deletes a monomial it has already stored
+    for left in pool[:20]:
+        if len(left) >= 2:
+            (m1, c1), (m2, c2) = list(left.items())[:2]
+            pool.append({m1: c1, m2: c2})
+            pool.append({m1: c1, m2: -c2})
+    pool += [{m: int(c) for m, c in t.items() if c.denominator == 1} for t in pool[:40]]
+    deleted = 0
+    for _ in range(400):
+        left, right = rng.choice(pool), rng.choice(pool)
+        want = ref.map_add_product(left, right)
+        got = (Poly(dict(left)) * Poly(dict(right))).terms
+        assert list(got.items()) == list(want.items())
+        deleted += len(want) < len({tuple(map(operator.add, m1, m2))
+                                    for m1 in left for m2 in right})
+        if len(want) <= MAX_TERMS:
+            pool.append(want)
+    assert deleted
