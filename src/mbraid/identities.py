@@ -27,16 +27,20 @@ powers of K into K-free 4x4 matrices and forms E1, E2 and E3 as
 polynomials in K with K-free 8x8 coefficients, never multiplying a zero
 coefficient.  For the catalog N = K A, so the K-dependence costs one 4x4
 A @ A and A12 A23 A12 - A23 A12 A23 over K-free entries, both triple
-products sharing the one product A12 A23.  _defect_at then evaluates a^2 E1 + a E2 + E3 - lam E1 at a
-coupling: the braid residual (a = 1), the MBE residual (a = 1 minus
-lam E1), the shifted family (a = 1 - mu, and a = K/Ki at each root) and the
-braid values.  Nothing assumes Rhat(0) = I or that Rhat is affine, so a
-constant or higher-power term in K is split like any other.  The one
-refusal is an entry with K in its denominator, which raises ValueError.
-Each check computes its own coefficients; none is cached or shared.
-mbe_r_form keeps the full symbolic triple product of R = P.Rhat, so it is
-an independent cross-check that the split loses nothing.  run_scan keeps
-_braid_defect on its bound matrix.
+products sharing the one product A12 A23.  _defect_at then evaluates
+a^2 E1 + a E2 + E3 - lam E1 at a coupling: the braid residual (a = 1), the
+MBE residual (a = 1 minus lam E1), the shifted family (a = 1 - mu, and
+a = K/Ki at each root) and the braid values at K1 and K2.  Divisibility
+needs no symbolic evaluation: B(K) = E1 + E2 + E3 is a polynomial in K with
+K-free matrix coefficients, and _lam_divides long-divides it by the
+K-coefficients of lam's numerator, one matrix-valued step per power,
+dropping zero matrices.  Nothing assumes Rhat(0) = I or that Rhat is
+affine, so a constant or higher-power term in K is split like any other.
+The one refusal is an entry with K in its denominator, which raises
+ValueError.  Each check computes its own coefficients; none is cached or
+shared.  mbe_r_form keeps the full symbolic triple product of R = P.Rhat,
+so it is an independent cross-check that the split loses nothing.
+run_scan keeps _braid_defect on its bound matrix.
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ from __future__ import annotations
 from .catalog import (_coupling, braid_couplings, build_r, build_rhat,
                       deformation, hecke_X)
 from .pmatrix import ParamMatrix, embed12, embed23, perm_operator
-from .scalars import ONE, ZERO, RatFunc, poly_divmod_in, sym
+from .scalars import ONE, ZERO, RatFunc, sym
 
 
 class DegenerateValues(ArithmeticError):
@@ -72,6 +76,14 @@ def _mat_poly_mul(f: dict, g: dict) -> dict:
         for h, y in g.items():
             z = x @ y
             out[e + h] = out[e + h] + z if e + h in out else z
+    return out
+
+
+def _mat_poly_add(*polys: dict) -> dict:
+    out: dict = {}
+    for f in polys:
+        for e, m in f.items():
+            out[e] = out[e] + m if e in out else m
     return out
 
 
@@ -150,30 +162,39 @@ def braid_divisibility(d) -> bool:
     """Every entry of symbolic B(K) is divisible by the numerator of lam(K),
     which is (K - K1)(K - K2) up to a K-free factor."""
     spec = deformation(d)
-    return _lam_divides(spec, braid_residual(spec))
+    return _lam_divides(spec, _mat_poly_add(*_defect_coefficients(spec)))
 
 
-def _lam_divides(spec, residual: ParamMatrix) -> bool:
-    """Whether the numerator of lam(K) divides every entry of a symbolic B(K)."""
-    divisor = mbe_factor(spec).num
-    for e in residual.data:
-        if e.is_zero():
-            continue
-        if "K" in e.den.symbols():
-            return False
-        _, rem = poly_divmod_in(e.num, divisor, "K")
-        if rem:
-            return False
-    return True
+def _lam_divides(spec, b: dict) -> bool:
+    """Whether the numerator of lam(K) divides B(K) = sum of K^e b[e], with
+    b[e] K-free 8x8: long division whose steps are matrices, zero ones
+    dropped; lam divides exactly when nothing remains."""
+    divisor = {e: RatFunc(c) for e, c in mbe_factor(spec).num.coeffs_in("K").items()
+               if not c.is_zero()}
+    top = max(divisor)
+    inv_lead = 1 / divisor.pop(top)
+    rem = {e: m for e, m in b.items() if not m.is_zero()}
+    while rem and max(rem) >= top:
+        e = max(rem)
+        step = rem.pop(e).scale(inv_lead)
+        for f, c in divisor.items():
+            k = e - top + f
+            sub = step.scale(c)
+            m = rem[k] - sub if k in rem else -sub
+            if m.is_zero():
+                rem.pop(k, None)
+            else:
+                rem[k] = m
+    return not rem
 
 
 def braid_values_check(d) -> bool:
-    """B vanishes at each distinct braid coupling, and lam(K) divides the
-    symbolic B(K); the defect coefficients are computed once for both."""
+    """B vanishes at each distinct braid coupling, and lam(K) divides B(K) =
+    E1 + E2 + E3; the defect coefficients are computed once for both."""
     spec = deformation(d)
     coeffs = _defect_coefficients(spec)
     return (all(_defect_at(coeffs, ONE, ki, ZERO).is_zero() for ki in braid_couplings(spec))
-            and _lam_divides(spec, _defect_at(coeffs, ONE, sym("K"), ZERO)))
+            and _lam_divides(spec, _mat_poly_add(*coeffs)))
 
 
 def s_shift_check(d) -> bool:

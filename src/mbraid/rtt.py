@@ -5,12 +5,16 @@ T is the 2x2 generator matrix [[a, b], [c, d]].  In the tensor-square basis
 
     (T1 T2)[(ik), (jl)] = T[i,j] T[k,l]       (T2 T1)[(ik), (jl)] = T[k,l] T[i,j]
 
-rtt_residual reduces R.(T1 T2) - (T2 T1).R entrywise to normal form.  The
-residual is linear in the entries of R, so assemble() builds column 4a+b of
-the linear system from the residual of the elementary matrix E_ab, one row
-per (matrix cell, normal word).  solve_family returns the nullspace reshaped
-to 4x4; the basis vectors are independent, so the catalog family lies in
-their span exactly when appending it leaves the rank unchanged.
+Cell (ik, jl) of R.(T1 T2) - (T2 T1).R is the sum over mid = (mn) of
+R[(ik), (mn)] T[m,j] T[n,l] - R[(mn), (jl)] T[k,n] T[i,m]: linear in R, and
+every word is one of the 16 quadratic words in a, b, c, d.  assemble()
+normal-orders each word once and adds its normal form into the rows of the
+linear system, one row per (matrix cell, normal word), dropping rows that
+cancel to zero.  rtt_residual instead normal-orders each of the 16 cells
+of one given R; the rtt:residual check uses it, so the two RTT checks reach
+their answers by different routes.  solve_family returns the nullspace
+reshaped to 4x4; the basis vectors are independent, so the catalog family
+lies in their span exactly when appending it leaves the rank unchanged.
 """
 
 from __future__ import annotations
@@ -57,16 +61,23 @@ def rtt_residual(r: ParamMatrix, system: RewriteSystem) -> list:
 def assemble(d) -> ParamMatrix:
     """Linear system over the 16 entries of R, one row per (cell, word)."""
     system = build_group_system(d)
+    forms: dict = {}
     rows: dict = {}
-    for column in range(16):
-        unit = [ZERO] * 16
-        unit[column] = ONE
-        residual = rtt_residual(ParamMatrix(4, 4, unit), system)
-        for row in range(4):
-            for col in range(4):
-                for word, coeff in residual[row][col].coeffs.items():
-                    rows.setdefault((row, col, word), [ZERO] * 16)[column] = coeff
-    return ParamMatrix(len(rows), 16, [e for key in sorted(rows) for e in rows[key]])
+    for row in range(4):
+        i, k = divmod(row, 2)
+        for col in range(4):
+            j, l = divmod(col, 2)
+            for mid in range(4):
+                m, n = divmod(mid, 2)
+                for index, sign, word in ((4 * row + mid, 1, (_T[m][j], _T[n][l])),
+                                          (4 * mid + col, -1, (_T[k][n], _T[i][m]))):
+                    if word not in forms:
+                        forms[word] = normal_order(NCPoly({word: ONE}), system)
+                    for w, c in forms[word].coeffs.items():
+                        line = rows.setdefault((row, col, w), [ZERO] * 16)
+                        line[index] = (line[index] + c) if sign > 0 else (line[index] - c)
+    kept = [key for key in sorted(rows) if not all(e.is_zero() for e in rows[key])]
+    return ParamMatrix(len(kept), 16, [e for key in kept for e in rows[key]])
 
 
 def solve_family(d) -> list:

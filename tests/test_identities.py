@@ -60,13 +60,41 @@ def test_braid_entries_divisible_by_degeneracy_quadratic():
         assert braid_divisibility(did), did
 
 
+# a K-free 8x8 matrix with a parameter in some entries and a denominator
+M = ParamMatrix(8, 8, [(i * j % 5 - 2) * P / Q + (i + 2 * j) % 3 for i in range(8)
+                       for j in range(8)])
+
+
+def _plant_defect(monkeypatch, b):
+    """Make _defect_coefficients return E1, E2 and E3 whose sum is
+    B(K) = sum of K^e b[e]."""
+    def coefficients(d):
+        return b, dict(b), {e: -m for e, m in b.items()}
+    monkeypatch.setattr(identities, "_defect_coefficients", coefficients)
+
+
 def test_braid_divisibility_rejects_an_entry_lam_does_not_divide(monkeypatch):
-    # a K-free remainder, then K in a denominator
-    for entry in (K, 1 / K):
-        monkeypatch.setattr(identities, "braid_residual",
-                            lambda d, entry=entry: ParamMatrix.from_rows([[entry]]))
-        for did in DEFORMATIONS:
-            assert not braid_divisibility(did), (did, str(entry))
+    # B = K M leaves a remainder; K in a denominator is refused before this
+    # (test_identities_kernel.test_k_in_a_denominator_is_refused)
+    _plant_defect(monkeypatch, {1: M})
+    for did in DEFORMATIONS:
+        assert not braid_divisibility(did), did
+
+
+@pytest.mark.parametrize("did, b, passes", [
+    # (K-1) M vanishes at K1 = K2 = 1, but (K-1)^2 does not divide it
+    ("gh", {0: -M, 1: M}, False),
+    ("gh", {0: M, 1: M.scale(-2), 2: M}, True),
+    ("gh", {0: -M, 2: M}, False),
+    ("pq", {0: M.scale(P), 1: M.scale(-P - Q), 2: M.scale(Q)}, True),
+    ("pq", {1: M.scale(P), 2: M.scale(-P - Q), 3: M.scale(Q)}, True),
+    ("pq", {0: -M, 1: M}, False),
+], ids=["gh-(K-1)", "gh-(K-1)^2", "gh-(K^2-1)", "pq-(K-1)(qK-p)", "pq-K(K-1)(qK-p)",
+        "pq-(K-1)"])
+def test_braid_values_divides_the_planted_defect(monkeypatch, did, b, passes):
+    _plant_defect(monkeypatch, b)
+    assert checks._check_braid_values(did)[0] is passes
+    assert braid_divisibility(did) is passes
 
 
 def test_braid_divisibility_divides_by_the_defect_factor(monkeypatch):
@@ -116,9 +144,10 @@ def test_s_shift_checks_each_distinct_root_once(monkeypatch):
 
 
 def test_braid_values_checks_each_distinct_coupling_once(monkeypatch):
-    # one braid relation per distinct coupling, then the symbolic B(K)
+    # one braid relation per distinct coupling; B(K) is divided on its
+    # coefficients, never evaluated at symbolic K
     calls = _count_defect_calls(monkeypatch)
-    for did, want in (("pq", 3), ("gh", 2), ("qh", 3)):
+    for did, want in (("pq", 2), ("gh", 1), ("qh", 2)):
         calls.update(at=0, coefficients=0)
         assert checks._check_braid_values(did)[0], did
         assert calls == {"at": want, "coefficients": 1}, did

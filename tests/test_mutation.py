@@ -4,10 +4,16 @@ group rule or one pure-plane rule, and at least one check must FAIL.
 A mutant replaces a builder in every ``mbraid`` module that imported it by
 name, the way the benchmark's tracer wraps functions.  Nothing is cleared
 between mutants, so a builder that kept a stale result would show here.
+
+Each mutant's FAIL lines, details included, must equal its section of
+golden/mutants.txt.  Rewrite that file only for an intended change of what
+the checks report, with ``PYTHONPATH=src python tests/test_mutation.py >
+tests/golden/mutants.txt``.
 """
 
 import io
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -93,10 +99,28 @@ MUTANTS = [
 ]
 
 
+GOLDEN = Path(__file__).parent / "golden" / "mutants.txt"
+
+
 def _verify(scope="all"):
     buf = io.StringIO()
     code = run_verify(scope, stream=buf)
     return code, buf.getvalue().splitlines()
+
+
+def _fail_lines(lines):
+    return [line for line in lines if line.startswith("FAIL ")]
+
+
+def _golden_sections(text):
+    """{mutant index: FAIL lines} from the '# mutant N' sections."""
+    sections: dict = {}
+    for line in text.splitlines():
+        if line.startswith("# mutant "):
+            current = sections.setdefault(int(line.removeprefix("# mutant ")), [])
+        elif line:
+            current.append(line)
+    return sections
 
 
 @pytest.mark.parametrize("index", range(len(MUTANTS)))
@@ -104,7 +128,9 @@ def test_every_mutant_fails_a_check(monkeypatch, index):
     _patch_everywhere(monkeypatch, *MUTANTS[index])
     code, lines = _verify()
     assert code == 1
-    assert any(line.startswith("FAIL ") for line in lines)
+    fails = _fail_lines(lines)
+    assert fails
+    assert fails == _golden_sections(GOLDEN.read_text(encoding="utf-8"))[index]
 
 
 @pytest.mark.parametrize("mutant, check", [
@@ -120,3 +146,12 @@ def test_contraction_sees_each_mutant_and_forgets_it(monkeypatch, mutant, check)
     code, lines = _verify()
     assert lines[-1] == "53/53 checks passed"
     assert code == 0
+
+
+if __name__ == "__main__":
+    # print golden/mutants.txt: each mutant's FAIL lines under '# mutant N'
+    patcher = pytest.MonkeyPatch()
+    for index, mutant in enumerate(MUTANTS):
+        _patch_everywhere(patcher, *mutant)
+        print(f"# mutant {index}", *_fail_lines(_verify()[1]), "", sep="\n")
+        patcher.undo()

@@ -26,7 +26,8 @@ def test_residual_nonzero_for_identity():
 
 
 def test_rtt_residual_is_linear():
-    # assemble() reads the system off the residuals of elementary matrices
+    # the residual is linear in R, so the rows assemble() adds word by word
+    # sum to the residual of any R
     rng = random.Random(90210)
 
     def rational_r():
