@@ -7,13 +7,22 @@ K -> K' duality, the triangular point, the factorizing matrix M) is derived
 from (K1, K2) here, never hard-coded twice.  M needs s = sqrt(2pq/(p+q)); it
 is built with s as the symbol u and checked modulo s^2 - rho.
 
+A verify pass (verify_pass, opened only by cli.run_verify) shares builds:
+while one is open, each builder marked @per_pass runs once per family at
+symbolic K (coupling omitted, None or sym("K")) and every later such call
+returns that same object.  Any other coupling, and every call outside a
+pass, builds afresh, so nothing outlives the pass that built it.  Shared
+objects are never changed in place.
+
 Basis order is e1(x)e1, e1(x)e2, e2(x)e1, e2(x)e2, first factor most
 significant.  R = P.R-hat with P the factor swap pmatrix.SWAP.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import wraps
 
 from .pmatrix import SWAP, ParamMatrix
 from .scalars import ONE, ZERO, DivisionByZero, RatFunc, as_ratfunc, sym
@@ -59,15 +68,46 @@ def braid_couplings(d) -> tuple:
     return (spec.K1,) if spec.K1 == spec.K2 else (spec.K1, spec.K2)
 
 
+_K = sym("K")
+_shared = None  # {(builder, family id): result} while a verify pass is open
+
+
+@contextmanager
+def verify_pass():
+    """Share the symbolic-K results of @per_pass builders until the block
+    ends; the enclosing pass, or none, is restored on exit."""
+    global _shared
+    outer, _shared = _shared, {}
+    try:
+        yield
+    finally:
+        _shared = outer
+
+
+def per_pass(build):
+    """build(d[, k]) run once per family at symbolic K inside a verify pass."""
+    @wraps(build)
+    def shared(d, *args, **kwargs):
+        k = args[0] if args else kwargs.get("k")
+        if _shared is None or (k is not None and k is not _K):
+            return build(d, *args, **kwargs)
+        key = (build, deformation(d).id)
+        if key not in _shared:
+            _shared[key] = build(d, *args, **kwargs)
+        return _shared[key]
+    return shared
+
+
 def _coupling(k) -> RatFunc:
     if k is None:
-        return sym("K")
+        return _K
     out = as_ratfunc(k)
     if out is None:
         raise TypeError(f"coupling must be a scalar, got {type(k).__name__}")
     return out
 
 
+@per_pass
 def build_rhat(d, k=None) -> ParamMatrix:
     """R-hat(K) for one family; K = 0 gives the identity in every family."""
     spec = deformation(d)
@@ -96,11 +136,13 @@ def build_rhat(d, k=None) -> ParamMatrix:
     return ParamMatrix.from_rows(rows)
 
 
+@per_pass
 def build_r(d, k=None) -> ParamMatrix:
     """R(K) = P.R-hat(K), the RTT-form matrix."""
     return SWAP @ build_rhat(d, k)
 
 
+@per_pass
 def hecke_X(d, k=None) -> RatFunc:
     """The Hecke scalar X with R-hat^2 = X R-hat + (1 - X) I."""
     spec = deformation(d)
@@ -108,6 +150,7 @@ def hecke_X(d, k=None) -> RatFunc:
     return 2 - k / spec.K1 - k / spec.K2
 
 
+@per_pass
 def projectors(d, k=None):
     """Spectral idempotents (P1, P2) with R-hat = (X - 1) P1 + P2."""
     spec = deformation(d)

@@ -18,7 +18,7 @@ import math
 import sys
 from fractions import Fraction
 
-from .catalog import DEFORMATIONS, build_rhat, deformation
+from .catalog import DEFORMATIONS, build_rhat, deformation, verify_pass
 from .checks import registered_checks
 from .identities import _braid_defect
 from .ncalgebra import GROUP, PLANE, NCPoly, StepCapExceeded, normal_order
@@ -355,19 +355,20 @@ def run_verify(scope: str = "all", json_out: bool = False, stream=None) -> int:
     if scope not in _scopes(checks):
         raise ValueError(f"unknown scope {scope!r}; expected one of {_scopes(checks)}")
     results = []
-    for check_scope, name, d, fn in checks:
-        if scope not in ("all", check_scope):
-            continue
-        try:
-            ok, detail = fn(d)
-        except Exception as exc:  # a crashed check is a failed check
-            ok, detail = False, f"{type(exc).__name__}: {exc}"
-        results.append({
-            "check": f"{check_scope}:{name}",
-            "deformation": d,
-            "status": "PASS" if ok else "FAIL",
-            "detail": detail,
-        })
+    with verify_pass():  # the checks share each family's symbolic-K builds
+        for check_scope, name, d, fn in checks:
+            if scope not in ("all", check_scope):
+                continue
+            try:
+                ok, detail = fn(d)
+            except Exception as exc:  # a crashed check is a failed check
+                ok, detail = False, f"{type(exc).__name__}: {exc}"
+            results.append({
+                "check": f"{check_scope}:{name}",
+                "deformation": d,
+                "status": "PASS" if ok else "FAIL",
+                "detail": detail,
+            })
     if json_out:
         stream.write(json.dumps(results, indent=2) + "\n")
     else:

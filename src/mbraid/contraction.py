@@ -15,8 +15,11 @@ generators (x, y) = G (x~, y~) and (xi, eta) = G (xi~, eta~).  The generator
 pipelines first transport the two-parameter relations into tilde
 coordinates exactly in u; reducing a defect there keeps every coefficient
 finite at u = 0, whereas naive word-by-word regrouping of a plain normal
-form leaves divergences that only those relations cancel.  No builder is
-cached: each call rebuilds from the current catalog and rewrite systems.
+form leaves divergences that only those relations cancel.  Nothing here
+is kept between calls: each call rebuilds from the current catalog and
+rewrite systems.  The one sharing is catalog.verify_pass, which
+cli.run_verify opens: inside it, build_r and build_group_system at
+symbolic K run once per family, and outside it every call builds afresh.
 """
 
 from __future__ import annotations

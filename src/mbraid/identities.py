@@ -37,16 +37,19 @@ K-coefficients of lam's numerator, one matrix-valued step per power,
 dropping zero matrices.  Nothing assumes Rhat(0) = I or that Rhat is
 affine, so a constant or higher-power term in K is split like any other.
 The one refusal is an entry with K in its denominator, which raises
-ValueError.  Each check computes its own coefficients; none is cached or
-shared.  mbe_r_form keeps the full symbolic triple product of R = P.Rhat,
-so it is an independent cross-check that the split loses nothing.
+ValueError.  Inside a verify pass (catalog.verify_pass, opened by
+cli.run_verify) mbe_factor and _defect_coefficients run once per family and
+the mbe, braid-values and s-shift checks share the result; outside one,
+every call computes afresh.  mbe_r_form keeps the full symbolic triple
+product of R = P.Rhat, so it is an independent cross-check that the split
+loses nothing.
 run_scan keeps _braid_defect on its bound matrix.
 """
 
 from __future__ import annotations
 
 from .catalog import (_coupling, braid_couplings, build_r, build_rhat,
-                      deformation, hecke_X)
+                      deformation, hecke_X, per_pass)
 from .pmatrix import ParamMatrix, embed12, embed23, perm_operator
 from .scalars import ONE, ZERO, RatFunc, sym
 
@@ -55,6 +58,7 @@ class DegenerateValues(ArithmeticError):
     """Affine decomposition requested where K1 = K2."""
 
 
+@per_pass
 def mbe_factor(d) -> RatFunc:
     """The braid-defect scalar lam(K) = (K/K1 - 1)(K/K2 - 1)."""
     spec = deformation(d)
@@ -94,6 +98,7 @@ def _mat_poly_sub(f: dict, g: dict) -> dict:
     return out
 
 
+@per_pass
 def _defect_coefficients(d) -> tuple:
     """(E1, E2, E3), each {power of K: K-free 8x8 matrix}, with
     defect(a I + N) = a^2 E1 + a E2 + E3 for N = Rhat - I."""

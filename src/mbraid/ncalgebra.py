@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .catalog import deformation
+from .catalog import deformation, per_pass
 from .scalars import ONE, ZERO, RatFunc, as_ratfunc, sym
 
 Word = tuple
@@ -285,6 +285,7 @@ def _rule(lhs: Word, terms: list) -> RewriteRule:
     return RewriteRule(tuple(lhs), NCPoly({tuple(w): as_ratfunc(c) for c, w in terms}))
 
 
+@per_pass
 def build_group_system(d) -> RewriteSystem:
     """Oriented quadratic relations of the 2x2 quantum-group algebra for one
     deformation.  Right-hand sides are stored fully normal-ordered."""

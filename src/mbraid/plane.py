@@ -28,7 +28,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .catalog import _coupling, build_rhat, deformation, hecke_X, projectors
+from .catalog import (_coupling, build_rhat, deformation, hecke_X, per_pass,
+                      projectors)
 from .ncalgebra import PLANE, NCPoly, RewriteRule, RewriteSystem, normal_order
 from .pmatrix import ParamMatrix
 from .scalars import ONE, RatFunc, sym
@@ -94,6 +95,7 @@ def phi_poly(did: str) -> NCPoly:
     raise UnsupportedDeformation(f"no mixed combination for {did!r}")
 
 
+@per_pass
 def build_plane_system(d, k=None) -> PlaneSystem:
     """Full plane calculus (pure + mixed rules) for the pq or gh family.
 
@@ -146,6 +148,7 @@ def _projector_constraints(p1, p2, system) -> bool:
             and _vector_constraints(p2, _DIFF_WORDS, system))
 
 
+@per_pass
 def pure_sector_consistency(d) -> bool:
     """P1 kills coordinate bilinears and P2 kills differential bilinears,
     with the coupling fully symbolic.  Works for all three families."""
