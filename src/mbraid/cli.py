@@ -291,9 +291,12 @@ def run_scan(d, bindings, kmin, kmax, steps: int, out: str) -> list:
     of the bound matrix is polynomial in K alone; its squared entries are
     summed once into F(K), an exact polynomial in K.  The grid and F are
     evaluated in integers: point i is (start + stride*i)/scale, and F there
-    is a numerator/denominator pair from integer Horner.  Only the square
-    root, taken of their correctly rounded int / int quotient, and the CSV
-    text are floating point.
+    is a numerator/denominator pair.  Each side is a polynomial in i with
+    integer values, so integer Horner evaluates it at its first degree + 1
+    points only and forward differences give every later point, one int
+    addition per degree.  Only the square root, taken of their correctly
+    rounded int / int quotient, and the CSV text are floating point; K is
+    written as the correctly rounded k / scale.
     """
     if not 2 <= steps <= MAX_SCAN_STEPS:
         raise ValueError(f"steps must be between 2 and {MAX_SCAN_STEPS}")
@@ -311,13 +314,15 @@ def run_scan(d, bindings, kmin, kmax, steps: int, out: str) -> list:
     stride = kmax.numerator * (scale // kmax.denominator) - start
     start *= steps - 1
     scale *= steps - 1
-    rows = []
-    for i in range(steps):
+    # the second member of every _horner pair, scale^(number of coefficients)
+    fpow, dpow = scale ** len(num), scale ** len(den)
+    rows, lines = [], []
+    for i, (fnum, fden) in enumerate(zip(_on_grid(num, start, stride, scale, steps),
+                                         _on_grid(den, start, stride, scale, steps))):
         k = start + stride * i
-        fnum, fpow = _horner(num, k, scale)
-        fden, dpow = _horner(den, k, scale)
-        rows.append((Fraction(k, scale), math.sqrt(fnum * dpow / (fpow * fden))))
-    lines = [f"{float(kval):.17g},{fro:.17g}\n" for kval, fro in rows]
+        fro = math.sqrt(fnum * dpow / (fpow * fden))
+        rows.append((Fraction(k, scale), fro))
+        lines.append(f"{k / scale:.17g},{fro:.17g}\n")
     with open(out, "w") as fh:
         fh.write("K,residual_fro\n")
         fh.writelines(lines)
@@ -340,6 +345,30 @@ def _horner(coeffs: list, a: int, b: int) -> tuple:
         out = out * a + c * bpow
         bpow *= b
     return out * b, bpow
+
+
+def _on_grid(coeffs: list, start: int, stride: int, scale: int, steps: int):
+    """Yield _horner(coeffs, start + stride*i, scale)[0] for i in range(steps).
+
+    That value is a polynomial in i of the same degree n with integer
+    values, so Horner runs at the first n + 1 points only; they give the
+    forward differences at point 0, and each later point costs n int
+    additions.  Degree below 1, or no more than n + 1 points, is all Horner.
+    """
+    n = len(coeffs) - 1
+    if n < 1 or steps <= n + 1:
+        for i in range(steps):
+            yield _horner(coeffs, start + stride * i, scale)[0]
+        return
+    diffs = [_horner(coeffs, start + stride * i, scale)[0] for i in range(n + 1)]
+    for j in range(1, n + 1):
+        for t in range(n, j - 1, -1):
+            diffs[t] -= diffs[t - 1]
+    yield diffs[0]
+    for _ in range(steps - 1):
+        for j in range(n):
+            diffs[j] += diffs[j + 1]
+        yield diffs[0]
 
 
 # -- verification --------------------------------------------------------

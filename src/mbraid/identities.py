@@ -30,11 +30,13 @@ A @ A and A12 A23 A12 - A23 A12 A23 over K-free entries, both triple
 products sharing the one product A12 A23.  _defect_at then evaluates
 a^2 E1 + a E2 + E3 - lam E1 at a coupling: the braid residual (a = 1), the
 MBE residual (a = 1 minus lam E1), the shifted family (a = 1 - mu, and
-a = K/Ki at each root) and the braid values at K1 and K2.  Divisibility
-needs no symbolic evaluation: B(K) = E1 + E2 + E3 is a polynomial in K with
-K-free matrix coefficients, and _lam_divides long-divides it by the
-K-coefficients of lam's numerator, one matrix-valued step per power,
-dropping zero matrices.  Nothing assumes Rhat(0) = I or that Rhat is
+a = K/Ki at each root) and the braid values at K1 and K2.  It adds w * y
+only at the nonzero entries y of each coefficient matrix: at a zero entry
+the dense sum would add x + 0 = x, so every entry is written as the dense
+sum writes it.  Divisibility needs no symbolic evaluation: B(K) =
+E1 + E2 + E3 is a polynomial in K with K-free matrix coefficients, and
+_lam_divides long-divides it by the K-coefficients of lam's numerator, one
+matrix-valued step per power, dropping zero matrices.  Nothing assumes Rhat(0) = I or that Rhat is
 affine, so a constant or higher-power term in K is split like any other.
 The one refusal is an entry with K in its denominator, which raises
 ValueError.  Inside a verify pass (catalog.verify_pass, opened by
@@ -130,7 +132,9 @@ def _defect_at(coeffs: tuple, a: RatFunc, k: RatFunc, lam: RatFunc) -> ParamMatr
     for weight, part in ((a * a - lam, e1), (a, e2), (ONE, e3)):
         for power, m in part.items():
             w = weight * k ** power
-            data = [x + w * y for x, y in zip(data, m.data)]
+            for i, y in enumerate(m.data):
+                if not y.is_zero():
+                    data[i] = data[i] + w * y
     return ParamMatrix(8, 8, data)
 
 

@@ -2,9 +2,10 @@
 
 Data is a flat row-major list and instances are treated as immutable.
 
-Storage is dense, but products, Kronecker products and elimination visit only
-nonzero entries, in the order of the plain dense loops.  A skipped term is a
-product with a zero factor, which the dense loop would add as a no-op, so
+Storage is dense, but products, Kronecker products, elimination, sums,
+differences, negation and scaling visit only nonzero entries, in the order of
+the plain dense loops.  A skipped operation has a zero operand, whose result
+RatFunc's fast paths already know (0 * x = 0, x + 0 = x, 0 - x = -x), so
 every entry comes out representation-identical, not just equal: RatFunc is
 not canonical, and the order of a sum can change how it is written.
 
@@ -70,14 +71,18 @@ class ParamMatrix:
 
     def __add__(self, other: "ParamMatrix") -> "ParamMatrix":
         self._same_shape(other)
-        return ParamMatrix(self.rows, self.cols, [a + b for a, b in zip(self.data, other.data)])
+        return ParamMatrix(self.rows, self.cols,
+                           [a if b.is_zero() else b if a.is_zero() else a + b
+                            for a, b in zip(self.data, other.data)])
 
     def __sub__(self, other: "ParamMatrix") -> "ParamMatrix":
         self._same_shape(other)
-        return ParamMatrix(self.rows, self.cols, [a - b for a, b in zip(self.data, other.data)])
+        return ParamMatrix(self.rows, self.cols,
+                           [a if b.is_zero() else -b if a.is_zero() else a - b
+                            for a, b in zip(self.data, other.data)])
 
     def __neg__(self) -> "ParamMatrix":
-        return ParamMatrix(self.rows, self.cols, [-a for a in self.data])
+        return ParamMatrix(self.rows, self.cols, [a if a.is_zero() else -a for a in self.data])
 
     def _same_shape(self, other):
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -105,7 +110,8 @@ class ParamMatrix:
         return ParamMatrix(self.rows, m, out)
 
     def scale(self, s) -> "ParamMatrix":
-        return ParamMatrix(self.rows, self.cols, [s * e for e in self.data])
+        return ParamMatrix(self.rows, self.cols,
+                           [e if e.is_zero() else s * e for e in self.data])
 
     def map(self, fn) -> "ParamMatrix":
         return ParamMatrix(self.rows, self.cols, [fn(e) for e in self.data])
@@ -132,7 +138,7 @@ def kron(a: ParamMatrix, b: ParamMatrix) -> ParamMatrix:
                 if x.is_zero():
                     out += [ZERO] * b.cols
                 else:
-                    out += [x * e for e in b.row(k)]
+                    out += [e if e.is_zero() else x * e for e in b.row(k)]
     return ParamMatrix(a.rows * b.rows, a.cols * b.cols, out)
 
 
@@ -192,7 +198,7 @@ def _rref(m: ParamMatrix):
             continue
         work[r], work[pivot_row] = work[pivot_row], work[r]
         inv = work[r][c].inverse()
-        pivot = work[r] = [inv * e for e in work[r]]
+        pivot = work[r] = [e if e.is_zero() else inv * e for e in work[r]]
         nonzero = [j for j, e in enumerate(pivot) if not e.is_zero()]
         for i in range(m.rows):
             f = work[i][c]

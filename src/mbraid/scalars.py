@@ -26,6 +26,12 @@ common monomial factor and the sign of the denominator.  A fast-path result
 has the same terms, in the same order, as normalization would give.
 Sums and differences share one rule, ``RatFunc._combine``, which takes the
 numerator operation (``Poly.__add__`` or ``Poly.__sub__``) as an argument.
+The polynomial kernels skip known work too: ``Poly.__mul__`` returns the
+other operand when one operand is the unit polynomial, ``Poly.__sub__``
+subtracts in one loop instead of adding a negated copy, and normalization
+reads the sign of a one-term denominator directly instead of searching for
+its graded-lex leading term.  Each gives the same terms in the same order
+as the long way round.
 
 A monomial is a six-field tuple, one exponent per entry of SYMBOLS.
 ``Poly.__mul__`` unpacks both monomials of a term product into their six
@@ -75,7 +81,10 @@ def _grlex(mono: Monomial):
 
 
 class Poly:
-    """Multivariate polynomial.  ``terms`` holds only nonzero coefficients."""
+    """Multivariate polynomial.  ``terms`` holds only nonzero coefficients.
+
+    A Poly is never changed in place: operations build a new one or return
+    an operand as it is (``1 * p`` is ``p``), so values may share Polys."""
 
     __slots__ = ("terms",)
 
@@ -118,11 +127,22 @@ class Poly:
         return Poly({mono: -c for mono, c in self.terms.items()})
 
     def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-other)
+        out = dict(self.terms)
+        for mono, c in other.terms.items():
+            s = out.get(mono, 0) - c
+            if s:
+                out[mono] = s
+            else:
+                out.pop(mono, None)
+        return Poly(out)
 
     def __mul__(self, other: "Poly") -> "Poly":
         if not self.terms or not other.terms:
             return Poly({})
+        if self.terms == _UNIT_TERMS:
+            return other
+        if other.terms == _UNIT_TERMS:
+            return self
         out: dict = {}
         # six fields, one per entry of SYMBOLS (see the module docstring)
         for (k1, p1, q1, g1, h1, u1), c1 in self.terms.items():
@@ -234,7 +254,7 @@ def _normalized(num: Poly, den: Poly):
         dt = {m: int(c * mult) for m, c in dt.items()}
         num, den = Poly(nt), Poly(dt)
         content = gcd(*nt.values(), *dt.values())
-    _, lead = den.leading()
+    lead = next(iter(dt.values())) if len(dt) == 1 else den.leading()[1]
     if lead < 0:
         content = -content
     if content == 1:

@@ -5,6 +5,10 @@ defect from K-free coefficients: ``_braid_defect``, ``braid_residual``,
 ``mbe_residual``, ``braid_divisibility`` and ``s_shift_check`` are kept
 verbatim.  Each multiplies the full 8x8 matrices whose entries carry K (and
 mu for the shifted family), so nothing is split by powers of K.
+
+``defect_at`` keeps the loop of ``identities._defect_at`` from before it
+skipped the zero entries of the coefficient matrices: it rebuilds all 64
+entries for every power of K.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ from __future__ import annotations
 from mbraid.catalog import braid_couplings, build_rhat, deformation, hecke_X
 from mbraid.identities import mbe_factor
 from mbraid.pmatrix import ParamMatrix, embed12, embed23
-from mbraid.scalars import poly_divmod_in, sym
+from mbraid.scalars import ONE, ZERO, poly_divmod_in, sym
 
 
 def _braid_defect(m: ParamMatrix) -> ParamMatrix:
@@ -20,6 +24,18 @@ def _braid_defect(m: ParamMatrix) -> ParamMatrix:
     m12 = embed12(m)
     m23 = embed23(m)
     return m12 @ m23 @ m12 - m23 @ m12 @ m23
+
+
+def defect_at(coeffs: tuple, a, k, lam) -> ParamMatrix:
+    """a^2 E1 + a E2 + E3 - lam E1 at K = k: the braid defect of a I + N(k)
+    less lam (Rhat12 - Rhat23), an 8x8 matrix."""
+    e1, e2, e3 = coeffs
+    data = [ZERO] * 64
+    for weight, part in ((a * a - lam, e1), (a, e2), (ONE, e3)):
+        for power, m in part.items():
+            w = weight * k ** power
+            data = [x + w * y for x, y in zip(data, m.data)]
+    return ParamMatrix(8, 8, data)
 
 
 def braid_residual(d, k=None) -> ParamMatrix:

@@ -3,8 +3,11 @@
 These are the dense loops that mbraid.pmatrix used before its products,
 Kronecker products and elimination learned to skip zero entries:
 ``ParamMatrix.__matmul__`` (as ``matmul``), ``kron`` and ``_rref`` are kept
-verbatim, with ``rank`` and ``nullspace`` built on them.  They visit every
-entry, so every zero is multiplied and added the long way round.
+verbatim, with ``rank`` and ``nullspace`` built on them.  ``add``, ``sub``,
+``neg`` and ``scale`` keep the entrywise comprehensions of
+``ParamMatrix.__add__``, ``__sub__``, ``__neg__`` and ``scale`` from before
+those skipped zero entries too.  They visit every entry, so every zero is
+multiplied and added the long way round.
 """
 
 from __future__ import annotations
@@ -26,6 +29,24 @@ def matmul(self: ParamMatrix, other: ParamMatrix) -> ParamMatrix:
                 acc = acc + self.data[base + k] * other.data[k * other.cols + j]
             out.append(acc)
     return ParamMatrix(self.rows, other.cols, out)
+
+
+def add(self: ParamMatrix, other: ParamMatrix) -> ParamMatrix:
+    self._same_shape(other)
+    return ParamMatrix(self.rows, self.cols, [a + b for a, b in zip(self.data, other.data)])
+
+
+def sub(self: ParamMatrix, other: ParamMatrix) -> ParamMatrix:
+    self._same_shape(other)
+    return ParamMatrix(self.rows, self.cols, [a - b for a, b in zip(self.data, other.data)])
+
+
+def neg(self: ParamMatrix) -> ParamMatrix:
+    return ParamMatrix(self.rows, self.cols, [-a for a in self.data])
+
+
+def scale(self: ParamMatrix, s) -> ParamMatrix:
+    return ParamMatrix(self.rows, self.cols, [s * e for e in self.data])
 
 
 def kron(a: ParamMatrix, b: ParamMatrix) -> ParamMatrix:

@@ -11,15 +11,16 @@ from fractions import Fraction
 import pytest
 import ref_identities as ref
 from test_mutation import MUTANTS, _patch_everywhere
+from test_pmatrix_kernel import _assert_same_terms_in_order
 
 import mbraid.catalog as catalog
 import mbraid.checks as checks
-from mbraid.catalog import braid_couplings, deformation
+from mbraid.catalog import braid_couplings, deformation, hecke_X
 from mbraid.identities import (_defect_at, _defect_coefficients,
                                braid_residual, braid_values_check,
-                               mbe_residual, s_shift_check)
+                               mbe_factor, mbe_residual, s_shift_check)
 from mbraid.pmatrix import ParamMatrix
-from mbraid.scalars import ZERO, const, sym
+from mbraid.scalars import ONE, ZERO, const, sym
 
 K, P = sym("K"), sym("p")
 DEFORMATIONS = ("pq", "gh", "qh")
@@ -82,6 +83,21 @@ def test_defect_at_any_shift_matches_the_triple_product(d):
     for a in (sym("u"), sym("u") * K - 2, const(Fraction(3, 2))):
         want = ref._braid_defect(n + ParamMatrix.identity(4).scale(a))
         assert _defect_at(coeffs, a, K, ZERO) == want, (d, str(a))
+
+
+@pytest.mark.parametrize("d", DEFORMATIONS)
+def test_defect_at_matches_the_dense_loop(d):
+    # every entry written as the loop over all 64 entries writes it, at the
+    # shifts the checks use: 1 (with lam 0 and with lam(K)), 1 - u, K/Ki
+    spec = deformation(d)
+    coeffs = _defect_coefficients(d)
+    shifts = [(ONE, ZERO), (ONE, mbe_factor(d)),
+              (1 - sym("u"), sym("u") * sym("u") - hecke_X(d) * sym("u") + mbe_factor(d))]
+    shifts += [(K / ki, ZERO) for ki in braid_couplings(spec)]
+    for a, lam in shifts:
+        got = _defect_at(coeffs, a, K, lam).data
+        _assert_same_terms_in_order(got, ref.defect_at(coeffs, a, K, lam).data)
+        assert len(got) == 64
 
 
 @pytest.mark.parametrize("index", range(len(MUTANTS)))

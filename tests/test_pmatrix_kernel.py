@@ -85,6 +85,28 @@ def test_kron_matches_dense_loop():
         _assert_same_entries(embed23(r).data, ref.kron(ident, r).data)
 
 
+def _assert_same_terms_in_order(got, want):
+    """_assert_same_entries, and every entry's terms in the same order."""
+    _assert_same_entries(got, want)
+    for g, w in zip(got, want):
+        assert list(g.num.terms.items()) == list(w.num.terms.items())
+        assert list(g.den.terms.items()) == list(w.den.terms.items())
+
+
+@pytest.mark.parametrize("shape", [(4, 4), (8, 8), (3, 5)])
+def test_entrywise_operations_match_dense_loops(shape):
+    rng = random.Random(f"entrywise:{shape}")
+    factors = [2, ZERO, ONE, P / (K + 1)]
+    for _ in range(20):
+        a, b = _random_matrix(rng, *shape), _random_matrix(rng, *shape)
+        _assert_same_terms_in_order((a + b).data, ref.add(a, b).data)
+        _assert_same_terms_in_order((a - b).data, ref.sub(a, b).data)
+        _assert_same_terms_in_order((a - a).data, ref.sub(a, a).data)
+        _assert_same_terms_in_order((-a).data, ref.neg(a).data)
+        for s in factors + [rng.choice(NONZERO)]:
+            _assert_same_terms_in_order(a.scale(s).data, ref.scale(a, s).data)
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_elimination_matches_dense_loop(seed):
     rng = random.Random(f"rref:{seed}")

@@ -249,3 +249,61 @@ def test_poly_mul_matches_the_map_add_loop(seed):
         if len(want) <= MAX_TERMS:
             pool.append(want)
     assert deleted
+
+
+def test_product_with_the_unit_polynomial_keeps_the_loop_order():
+    # the unit on either side returns the other operand, whose terms are in
+    # the order the product loop would insert them
+    rng = random.Random(7)
+    unit = Poly.const(1)
+    operands = [_random_terms(rng, rng.randint(1, 5)) for _ in range(20)]
+    operands += [Poly.const(Fraction(3, 2)).terms, Poly.const(Fraction(-4, 2)).terms]
+    for terms in operands:
+        p = Poly(dict(terms))
+        for got, want in ((unit * p, ref.map_add_product(unit.terms, terms)),
+                          (p * unit, ref.map_add_product(terms, unit.terms))):
+            assert got is p
+            assert list(got.terms.items()) == list(want.items())
+        assert Poly.const(Fraction(2, 2)) * p is p
+    # the same fast path inside a RatFunc product with one polynomial operand
+    x = RatFunc(Poly({(1, 0, 0, 0, 0, 0): 3, (0, 1, 0, 0, 0, 0): -2}),
+                Poly({(0, 0, 1, 0, 0, 0): 1, (0, 0, 0, 0, 0, 0): 5}))
+    rx = ref.RatFunc(ref.Poly({(1, 0, 0, 0, 0, 0): Fraction(3), (0, 1, 0, 0, 0, 0): Fraction(-2)}),
+                     ref.Poly({(0, 0, 1, 0, 0, 0): Fraction(1), (0, 0, 0, 0, 0, 0): Fraction(5)}))
+    for (y, ry) in [_random_poly_pair(rng) for _ in range(20)]:
+        _assert_same(x * y, rx * ry)
+        _assert_same(y * x, ry * rx)
+
+
+def test_poly_subtraction_matches_adding_the_negation():
+    rng = random.Random(8)
+    pool = [_random_terms(rng, rng.randint(0, 5)) for _ in range(60)]
+    for left in pool[:20]:
+        # cancellation to zero, and in part: the shared terms leave the dict
+        pool.append(dict(left))
+        pool.append({m: c if i % 2 else 2 * c for i, (m, c) in enumerate(left.items())})
+    for _ in range(300):
+        left, right = rng.choice(pool), rng.choice(pool)
+        got = Poly(dict(left)) - Poly(dict(right))
+        want = ref.Poly(dict(left)) - ref.Poly(dict(right))
+        assert list(got.terms.items()) == list(want.terms.items())
+    for terms in pool:
+        assert (Poly(dict(terms)) - Poly(dict(terms))).terms == {}
+
+
+def test_one_term_denominator_sign_is_normalized():
+    # 1/(-q), -p/(-3K) and a denominator with a common monomial factor
+    mono = {"1": (0,) * NVARS, "K": (1, 0, 0, 0, 0, 0), "p": (0, 1, 0, 0, 0, 0),
+            "q": (0, 0, 1, 0, 0, 0), "Kq": (1, 0, 1, 0, 0, 0)}
+    cases = [({mono["1"]: 1}, {mono["q"]: -1}),
+             ({mono["p"]: -1}, {mono["K"]: -3}),
+             ({mono["p"]: 2, mono["K"]: 4}, {mono["Kq"]: -6}),
+             ({mono["1"]: Fraction(1, 2)}, {mono["q"]: Fraction(-3, 4)}),
+             ({mono["p"]: 5}, {mono["q"]: 5})]
+    for n, d in cases:
+        lib = RatFunc(Poly(dict(n)), Poly(dict(d)))
+        want = ref.RatFunc(ref.Poly({m: Fraction(c) for m, c in n.items()}),
+                           ref.Poly({m: Fraction(c) for m, c in d.items()}))
+        _assert_same(lib, want)
+        assert all(c > 0 for c in lib.den.terms.values())
+    assert str(ONE / -scalars.sym("q")) == "(-1)/(q)"

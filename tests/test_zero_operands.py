@@ -1,0 +1,35 @@
+"""How many scalar operations one ``mbraid verify`` pass spends on a zero
+operand, whose result RatFunc's fast paths already know.
+
+The matrix, defect and polynomial kernels skip those operations, so a pass
+reaches only the few left in code that does not look for zeros.  The
+methods are patched on RatFunc itself, the way test_mutation.py patches
+functions, so every caller is counted.
+"""
+
+import io
+
+from mbraid.cli import run_verify
+from mbraid.scalars import RatFunc, as_ratfunc
+
+# products, sums and differences; __rsub__ goes through __sub__
+COUNTED = ("__mul__", "__rmul__", "__add__", "__radd__", "__sub__")
+# a pass at the dense kernels reached 9,203; the zero skips leave about 1,400
+MAX_ZERO_OPERANDS = 2000
+
+
+def test_one_verify_pass_rarely_reaches_a_zero_operand(monkeypatch):
+    counts = dict.fromkeys(COUNTED, 0)
+
+    def counting(name, real):
+        def counted(self, other):
+            o = as_ratfunc(other)
+            if o is not None and (self.is_zero() or o.is_zero()):
+                counts[name] += 1
+            return real(self, other)
+        return counted
+
+    for name in COUNTED:
+        monkeypatch.setattr(RatFunc, name, counting(name, getattr(RatFunc, name)))
+    assert run_verify("all", stream=io.StringIO()) == 0
+    assert sum(counts.values()) <= MAX_ZERO_OPERANDS, counts
