@@ -353,13 +353,9 @@ def _on_grid(coeffs: list, start: int, stride: int, scale: int, steps: int):
     That value is a polynomial in i of the same degree n with integer
     values, so Horner runs at the first n + 1 points only; they give the
     forward differences at point 0, and each later point costs n int
-    additions.  Degree below 1, or no more than n + 1 points, is all Horner.
+    additions.  The zero polynomial (no coefficients) is taken as degree 0.
     """
-    n = len(coeffs) - 1
-    if n < 1 or steps <= n + 1:
-        for i in range(steps):
-            yield _horner(coeffs, start + stride * i, scale)[0]
-        return
+    n = max(len(coeffs) - 1, 0)
     diffs = [_horner(coeffs, start + stride * i, scale)[0] for i in range(n + 1)]
     for j in range(1, n + 1):
         for t in range(n, j - 1, -1):

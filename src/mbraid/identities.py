@@ -36,8 +36,9 @@ the dense sum would add x + 0 = x, so every entry is written as the dense
 sum writes it.  Divisibility needs no symbolic evaluation: B(K) =
 E1 + E2 + E3 is a polynomial in K with K-free matrix coefficients, and
 _lam_divides long-divides it by the K-coefficients of lam's numerator, one
-matrix-valued step per power, dropping zero matrices.  Nothing assumes Rhat(0) = I or that Rhat is
-affine, so a constant or higher-power term in K is split like any other.
+matrix-valued step per power, dropping zero matrices.  Nothing assumes
+Rhat(0) = I or that Rhat is affine, so a constant or higher-power term in K
+is split like any other.
 The one refusal is an entry with K in its denominator, which raises
 ValueError.  Inside a verify pass (catalog.verify_pass, opened by
 cli.run_verify) mbe_factor and _defect_coefficients run once per family and

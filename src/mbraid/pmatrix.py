@@ -3,9 +3,9 @@
 Data is a flat row-major list and instances are treated as immutable.
 
 Storage is dense, but products, Kronecker products, elimination, sums,
-differences, negation and scaling visit only nonzero entries, in the order of
-the plain dense loops.  A skipped operation has a zero operand, whose result
-RatFunc's fast paths already know (0 * x = 0, x + 0 = x, 0 - x = -x), so
+differences and scaling visit only nonzero entries, in the order of the plain
+dense loops.  A skipped operation has a zero operand, whose result RatFunc's
+fast paths already know (0 * x = 0, x + 0 = x, 0 - x = -x), so
 every entry comes out representation-identical, not just equal: RatFunc is
 not canonical, and the order of a sum can change how it is written.
 
@@ -82,7 +82,7 @@ class ParamMatrix:
                             for a, b in zip(self.data, other.data)])
 
     def __neg__(self) -> "ParamMatrix":
-        return ParamMatrix(self.rows, self.cols, [a if a.is_zero() else -a for a in self.data])
+        return ParamMatrix(self.rows, self.cols, [-a for a in self.data])
 
     def _same_shape(self, other):
         if (self.rows, self.cols) != (other.rows, other.cols):

@@ -13,7 +13,7 @@ import pytest
 import ref_scan as ref
 
 from mbraid.catalog import build_rhat, deformation
-from mbraid.cli import _horner, run_scan
+from mbraid.cli import _horner, _on_grid, run_scan
 from mbraid.pmatrix import embed12, embed23
 from mbraid.scalars import ZERO, DivisionByZero, UnknownSymbolError, substitute
 
@@ -55,6 +55,19 @@ def test_horner_pair_matches_reference():
         num, den = _horner(coeffs, a, b)
         assert type(num) is int and type(den) is int and den > 0
         assert Fraction(num, den) == ref._horner(coeffs, Fraction(a, b)), (coeffs, a, b)
+
+
+def test_forward_differences_match_horner_at_every_point():
+    # lengths 0..8 and steps 1..12 cross steps = degree + 1 from both sides,
+    # and the empty list is the zero polynomial
+    rng = random.Random(2405)
+    for _ in range(400):
+        coeffs = [rng.randint(-50, 50) for _ in range(rng.randint(0, 8))]
+        start, stride = rng.randint(-999, 999), rng.randint(-99, 99)
+        scale, steps = rng.randint(1, 60), rng.randint(1, 12)
+        want = [_horner(coeffs, start + stride * i, scale)[0] for i in range(steps)]
+        assert list(_on_grid(coeffs, start, stride, scale, steps)) == want, (
+            coeffs, start, stride, scale, steps)
 
 
 def _defaults(d):
