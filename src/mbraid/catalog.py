@@ -21,8 +21,8 @@ significant.  R = P.R-hat with P the factor swap pmatrix.SWAP.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass
 from functools import wraps
+from typing import NamedTuple
 
 from .pmatrix import SWAP, ParamMatrix
 from .scalars import ONE, ZERO, DivisionByZero, RatFunc, as_ratfunc, sym
@@ -32,8 +32,7 @@ class DegenerateX(ArithmeticError):
     """Projectors requested where the two Hecke eigenvalues collide (k = 0)."""
 
 
-@dataclass(frozen=True)
-class DeformationSpec:
+class DeformationSpec(NamedTuple):
     id: str
     K1: RatFunc
     K2: RatFunc

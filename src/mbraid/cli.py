@@ -1,8 +1,9 @@
-"""Command-line front end: argparse and the verbs, ``run_verify`` over the
-check registry in ``checks``, the RTT solver, a numeric coupling scan with
-CSV output, and expression normal-ordering behind a small exact parser.
-Each verb's handler sits on its subparser (``set_defaults(run=...)``), and
-the ``--scope`` choices are the registry's own scopes.
+"""Command-line front end: the verbs, ``run_verify`` over the check registry
+in ``checks``, the RTT solver, a numeric coupling scan with CSV output, and
+expression normal-ordering behind a small exact parser.  Each verb's handler
+sits on its subparser (``set_defaults(run=...)``), and the ``--scope``
+choices are the registry's own scopes.  ``argparse`` is imported only when
+``main`` builds the parser, so importing this module does not load it.
 
 Output discipline: all arithmetic is exact; decimals appear only in the scan
 CSV, produced at the last moment with 17 significant digits so identical
@@ -12,7 +13,6 @@ failure, 2 usage error.
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import sys
@@ -409,6 +409,7 @@ def run_verify(scope: str = "all", json_out: bool = False, stream=None) -> int:
 # -- argument plumbing ---------------------------------------------------
 
 def _rational(text: str) -> Fraction:
+    import argparse
     if "." in text:
         raise argparse.ArgumentTypeError(
             f"{text!r}: decimal literals are not exact; write n/d")
@@ -419,6 +420,7 @@ def _rational(text: str) -> Fraction:
 
 
 def _build_argparser() -> argparse.ArgumentParser:
+    import argparse
     ap = argparse.ArgumentParser(
         prog="mbraid",
         description="exact verification of a coupled family of R-matrices "

@@ -24,7 +24,7 @@ symbolic K run once per family, and outside it every call builds afresh.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .catalog import build_r
 from .ncalgebra import (GROUP, PLANE, NCPoly, RewriteRule, RewriteSystem,
@@ -39,8 +39,7 @@ PLANE_TILDE = ("xi_t", "eta_t", "x_t", "y_t")
 TILDE_OF = dict(zip(GROUP + PLANE, GROUP_TILDE + PLANE_TILDE))
 
 
-@dataclass(frozen=True)
-class ContractionFrame:
+class ContractionFrame(NamedTuple):
     substitutions: dict
     gmatrix: ParamMatrix
 

@@ -31,12 +31,14 @@ products sharing the one product A12 A23.  _defect_at then evaluates
 a^2 E1 + a E2 + E3 - lam E1 at a coupling: the braid residual (a = 1), the
 MBE residual (a = 1 minus lam E1), the shifted family (a = 1 - mu, and
 a = K/Ki at each root) and the braid values at K1 and K2.  It adds w * y
-only at the nonzero entries y of each coefficient matrix: at a zero entry
-the dense sum would add x + 0 = x, so every entry is written as the dense
-sum writes it.  Divisibility needs no symbolic evaluation: B(K) =
-E1 + E2 + E3 is a polynomial in K with K-free matrix coefficients, and
-_lam_divides long-divides it by the K-coefficients of lam's numerator, one
-matrix-valued step per power, dropping zero matrices.  Nothing assumes
+only at the nonzero entries y of each coefficient matrix, an entry's first
+write stores w * y itself, and lam = 0 leaves a^2 as it is: the dense sum
+would add x + 0 = x at a zero entry, 0 + x = x at a first write and take
+a^2 - 0 = a^2, so every entry is written as the dense sum writes it.
+Divisibility needs no symbolic evaluation: B(K) = E1 + E2 + E3 is a
+polynomial in K with K-free matrix coefficients, and _lam_divides
+long-divides it by the K-coefficients of lam's numerator, one matrix-valued
+step per power, dropping zero matrices.  Nothing assumes
 Rhat(0) = I or that Rhat is affine, so a constant or higher-power term in K
 is split like any other.
 The one refusal is an entry with K in its denominator, which raises
@@ -130,12 +132,13 @@ def _defect_at(coeffs: tuple, a: RatFunc, k: RatFunc, lam: RatFunc) -> ParamMatr
     less lam (Rhat12 - Rhat23), an 8x8 matrix."""
     e1, e2, e3 = coeffs
     data = [ZERO] * 64
-    for weight, part in ((a * a - lam, e1), (a, e2), (ONE, e3)):
+    first = a * a if lam.is_zero() else a * a - lam
+    for weight, part in ((first, e1), (a, e2), (ONE, e3)):
         for power, m in part.items():
             w = weight * k ** power
             for i, y in enumerate(m.data):
                 if not y.is_zero():
-                    data[i] = data[i] + w * y
+                    data[i] = w * y if data[i].is_zero() else data[i] + w * y
     return ParamMatrix(8, 8, data)
 
 

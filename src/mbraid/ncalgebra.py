@@ -18,8 +18,8 @@ every word up to a fixed degree with two redexes, is kept as an oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
+from typing import NamedTuple
 
 from .catalog import deformation, per_pass
 from .scalars import ONE, ZERO, RatFunc, as_ratfunc, sym
@@ -142,8 +142,7 @@ def _term_str(word: Word, c: RatFunc) -> str:
     return f"{s}*{w}"
 
 
-@dataclass(frozen=True)
-class RewriteRule:
+class RewriteRule(NamedTuple):
     lhs: Word
     rhs: NCPoly
 

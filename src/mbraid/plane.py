@@ -26,7 +26,7 @@ forms depend on the (deterministic, leftmost) reduction strategy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .catalog import (_coupling, build_rhat, deformation, hecke_X, per_pass,
                       projectors)
@@ -43,8 +43,7 @@ class UnsupportedDeformation(ValueError):
     """Mixed-sector calculus requested for the fermionic-plane family."""
 
 
-@dataclass(frozen=True)
-class PlaneSystem:
+class PlaneSystem(NamedTuple):
     deformation: str
     k: RatFunc
     rules: RewriteSystem

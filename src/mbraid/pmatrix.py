@@ -205,7 +205,8 @@ def _rref(m: ParamMatrix):
             if i != r and not f.is_zero():
                 row = work[i]
                 for j in nonzero:
-                    row[j] = row[j] - f * pivot[j]
+                    e = row[j]
+                    row[j] = -(f * pivot[j]) if e.is_zero() else e - f * pivot[j]
         pivots.append(c)
         r += 1
         if r == m.rows:

@@ -12,9 +12,11 @@ normal-orders each word once and adds its normal form into the rows of the
 linear system, one row per (matrix cell, normal word), dropping rows that
 cancel to zero.  rtt_residual instead normal-orders each of the 16 cells
 of one given R; the rtt:residual check uses it, so the two RTT checks reach
-their answers by different routes.  solve_family returns the nullspace
-reshaped to 4x4; the basis vectors are independent, so the catalog family
-lies in their span exactly when appending it leaves the rank unchanged.
+their answers by different routes.  Both store the first term of a sum, c or
+-c, as it is, which is what 0 + c and 0 - c return.  solve_family returns
+the nullspace reshaped to 4x4; the basis vectors are independent, so the
+catalog family lies in their span exactly when appending it leaves the rank
+unchanged.
 """
 
 from __future__ import annotations
@@ -49,10 +51,12 @@ def rtt_residual(r: ParamMatrix, system: RewriteSystem) -> list:
                 left, right = r[row, mid], r[mid, col]
                 if not left.is_zero():  # R.(T1 T2)
                     word = (_T[m][j], _T[n][l])
-                    acc[word] = acc.get(word, ZERO) + left
+                    prev = acc.get(word, ZERO)
+                    acc[word] = left if prev.is_zero() else prev + left
                 if not right.is_zero():  # (T2 T1).R
                     word = (_T[k][n], _T[i][m])
-                    acc[word] = acc.get(word, ZERO) - right
+                    prev = acc.get(word, ZERO)
+                    acc[word] = -right if prev.is_zero() else prev - right
             line.append(normal_order(NCPoly(acc), system))
         out.append(line)
     return out
@@ -75,7 +79,11 @@ def assemble(d) -> ParamMatrix:
                         forms[word] = normal_order(NCPoly({word: ONE}), system)
                     for w, c in forms[word].coeffs.items():
                         line = rows.setdefault((row, col, w), [ZERO] * 16)
-                        line[index] = (line[index] + c) if sign > 0 else (line[index] - c)
+                        prev = line[index]
+                        if prev.is_zero():
+                            line[index] = c if sign > 0 else -c
+                        else:
+                            line[index] = prev + c if sign > 0 else prev - c
     kept = [key for key in sorted(rows) if not all(e.is_zero() for e in rows[key])]
     return ParamMatrix(len(kept), 16, [e for key in kept for e in rows[key]])
 

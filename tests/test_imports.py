@@ -1,9 +1,12 @@
 """Static scans: every name that a module under src/ or tests/ imports is
-used in it, every field of a dataclass under src/ is read as an attribute
-somewhere in src/, tests/ or bench/, and family ids are validated only by
-catalog.deformation."""
+used in it, every field of a record class (a dataclass or a NamedTuple)
+under src/ is read as an attribute somewhere in src/, tests/ or bench/, and
+family ids are validated only by catalog.deformation.  One run of a fresh
+interpreter checks what importing the library loads."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -54,20 +57,26 @@ def test_no_unused_imports_in_src_and_tests():
     assert not unused, "unused imports:\n" + "\n".join(unused)
 
 
-def _dataclass_fields(tree):
-    """(class, field, line) per annotated field of a @dataclass class."""
+def _name(node):
+    return getattr(node, "id", getattr(node, "attr", None))
+
+
+def _record_fields(tree):
+    """(class, field, line) per annotated field of a record class: one
+    decorated with @dataclass or one whose bases include NamedTuple."""
     for node in ast.walk(tree):
         if not isinstance(node, ast.ClassDef):
             continue
-        for dec in node.decorator_list:
-            target = dec.func if isinstance(dec, ast.Call) else dec
-            if getattr(target, "id", getattr(target, "attr", None)) == "dataclass":
-                for stmt in node.body:
-                    if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
-                        yield node.name, stmt.target.id, stmt.lineno
+        decorators = [dec.func if isinstance(dec, ast.Call) else dec
+                      for dec in node.decorator_list]
+        if ("dataclass" in map(_name, decorators)
+                or "NamedTuple" in map(_name, node.bases)):
+            for stmt in node.body:
+                if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+                    yield node.name, stmt.target.id, stmt.lineno
 
 
-def test_every_dataclass_field_is_read():
+def test_every_record_field_is_read():
     read, fields = set(), []
     for top in ("src", "tests", "bench"):
         for path in sorted((ROOT / top).rglob("*.py")):
@@ -75,11 +84,11 @@ def test_every_dataclass_field_is_read():
             read |= {n.attr for n in ast.walk(tree)
                      if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
             if top == "src":
-                fields += [(path, *f) for f in _dataclass_fields(tree)]
+                fields += [(path, *f) for f in _record_fields(tree)]
     assert fields
     dead = [f"{path.relative_to(ROOT)}:{line}: {cls}.{name}"
             for path, cls, name, line in fields if name not in read]
-    assert not dead, "dataclass fields never read:\n" + "\n".join(dead)
+    assert not dead, "record fields never read:\n" + "\n".join(dead)
 
 
 def test_only_the_catalog_validates_family_ids():
@@ -88,3 +97,14 @@ def test_only_the_catalog_validates_family_ids():
     assert [name for name, text in sources.items()
             if "unknown deformation" in text and name != "catalog.py"] == []
     assert [name for name, text in sources.items() if 'getattr(d, "id", d)' in text] == []
+
+
+def test_importing_the_library_loads_no_heavy_stdlib_modules():
+    """dataclasses pulls in inspect, ast, dis and tokenize, and argparse pulls
+    in gettext; only main needs argparse.  -S keeps site's imports out."""
+    code = (f"import sys; sys.path.insert(0, {str(ROOT / 'src')!r}); "
+            "import mbraid, mbraid.cli; "
+            "print(*sorted({'dataclasses', 'inspect', 'argparse'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-S", "-c", code],
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.split() == []

@@ -2,19 +2,25 @@
 operand, whose result RatFunc's fast paths already know.
 
 The matrix, defect and polynomial kernels skip those operations, so a pass
-reaches only the few left in code that does not look for zeros.  The
+reaches only the few left in code that does not look for zeros, and the
+accumulators of the RTT system, the RTT residual, the braid defect and
+elimination take their first write directly, so they reach none.  The
 methods are patched on RatFunc itself, the way test_mutation.py patches
 functions, so every caller is counted.
 """
 
 import io
+import sys
+from collections import Counter
 
+from mbraid import identities, pmatrix, rtt
 from mbraid.cli import run_verify
 from mbraid.scalars import RatFunc, as_ratfunc
 
 # products, sums and differences; __rsub__ goes through __sub__
 COUNTED = ("__mul__", "__rmul__", "__add__", "__radd__", "__sub__")
-# a pass at the dense kernels reached 9,203; the zero skips leave about 1,400
+# a pass at the dense kernels reached 9,203; the zero skips left about 1,400,
+# and first writes taken directly leave about 150
 MAX_ZERO_OPERANDS = 2000
 
 
@@ -33,3 +39,23 @@ def test_one_verify_pass_rarely_reaches_a_zero_operand(monkeypatch):
         monkeypatch.setattr(RatFunc, name, counting(name, getattr(RatFunc, name)))
     assert run_verify("all", stream=io.StringIO()) == 0
     assert sum(counts.values()) <= MAX_ZERO_OPERANDS, counts
+
+
+def test_accumulators_take_their_first_write_directly(monkeypatch):
+    sites = {f.__code__: f.__qualname__ for f in (
+        rtt.assemble, rtt.rtt_residual, identities._defect_at, pmatrix._rref)}
+    reached = Counter()
+
+    def counting(real):
+        def counted(self, other):
+            o = as_ratfunc(other)
+            caller = sys._getframe(1).f_code
+            if caller in sites and o is not None and (self.is_zero() or o.is_zero()):
+                reached[sites[caller]] += 1
+            return real(self, other)
+        return counted
+
+    for name in COUNTED:
+        monkeypatch.setattr(RatFunc, name, counting(getattr(RatFunc, name)))
+    assert run_verify("all", stream=io.StringIO()) == 0
+    assert not reached, reached
