@@ -44,7 +44,8 @@ values may have different representations; equality always goes through
 cross-multiplication.  Because of this, RatFunc is unhashable on purpose.
 
 RatFunc is the only scalar field.  A value in Q(...)(s) with s^2 = rho is a
-RatFunc in the symbol u, and vanishes_at_sqrt tests it modulo u^2 - rho.
+RatFunc in the symbol u, and vanishes_at_sqrt tests it by reduction modulo
+u^2 - rho, which is exact when rho is free of u and not a square.
 """
 
 from __future__ import annotations
@@ -468,40 +469,25 @@ def _at_u0(p: Poly) -> Poly:
     return Poly({m: c for m, c in p.terms.items() if m[_U] == 0})
 
 
-def poly_divmod_in(f: Poly, g: Poly, name: str):
-    """Univariate division of f by g in the named symbol, over rational
-    functions of the remaining symbols.  Returns ({power: RatFunc} quotient,
-    {power: RatFunc} remainder); empty remainder means exact divisibility."""
-    fc = {e: RatFunc(c) for e, c in f.coeffs_in(name).items() if not c.is_zero()}
-    gc = {e: RatFunc(c) for e, c in g.coeffs_in(name).items() if not c.is_zero()}
-    if not gc:
-        raise DivisionByZero("division by the zero polynomial")
-    dg = max(gc)
-    lead = gc[dg]
-    quot: dict = {}
-    rem = dict(fc)
-    while rem and max(rem) >= dg:
-        dr = max(rem)
-        c = rem[dr] / lead
-        quot[dr - dg] = c
-        for e, gcoef in gc.items():
-            k = dr - dg + e
-            v = rem.get(k, ZERO) - c * gcoef
-            if v.is_zero():
-                rem.pop(k, None)
-            else:
-                rem[k] = v
-    return quot, rem
+def _at_sqrt(p: Poly, rho: RatFunc) -> tuple:
+    """(a, b) with p(s) = a + b s where s^2 = rho: the remainder of p modulo
+    u^2 - rho, found by turning each u^e into rho^(e // 2) u^(e % 2)."""
+    parts: dict = {}
+    for e, c in p.coeffs_in("u").items():
+        t = RatFunc(c) * rho ** (e // 2)
+        parts[e % 2] = parts[e % 2] + t if e % 2 in parts else t
+    return parts.get(0, ZERO), parts.get(1, ZERO)
 
 
 def vanishes_at_sqrt(x: RatFunc, rho: RatFunc) -> bool:
     """Whether x vanishes at u = s, where s^2 = rho.
 
-    True when u^2 - rho divides x.num and does not divide x.den, as
-    polynomials in u over the rational functions of the other symbols.  This
-    is exact when rho does not mention u and is not a square: u^2 - rho is
-    then irreducible, the minimal polynomial of s, and divides every
-    polynomial that vanishes at s.
+    Reduces numerator and denominator modulo u^2 - rho to a + b s; x vanishes
+    when the numerator's a and b are both zero and the denominator's are
+    not.  This is exact when rho does not mention u and is not a square: 1
+    and s are then independent over the rational functions of the other
+    symbols, so a + b s is zero only when a and b are.
     """
-    g = (sym("u") * sym("u") - rho).num
-    return not poly_divmod_in(x.num, g, "u")[1] and bool(poly_divmod_in(x.den, g, "u")[1])
+    a, b = _at_sqrt(x.num, rho)
+    c, d = _at_sqrt(x.den, rho)
+    return a.is_zero() and b.is_zero() and not (c.is_zero() and d.is_zero())

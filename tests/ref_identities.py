@@ -16,7 +16,8 @@ from __future__ import annotations
 from mbraid.catalog import braid_couplings, build_rhat, deformation, hecke_X
 from mbraid.identities import mbe_factor
 from mbraid.pmatrix import ParamMatrix, embed12, embed23
-from mbraid.scalars import ONE, ZERO, poly_divmod_in, sym
+from mbraid.scalars import ONE, ZERO, sym
+from ref_scalars import poly_divmod_in
 
 
 def _braid_defect(m: ParamMatrix) -> ParamMatrix:

@@ -9,6 +9,13 @@ Operands must be RatFunc values of this module (no int coercion).
 ``map_add_product`` keeps the loop of the int kernel's ``Poly.__mul__``
 before it unpacked monomials into their six fields, verbatim: it adds
 exponents with ``tuple(map(add, m1, m2))``.
+
+``poly_divmod_in`` is the univariate long division that
+``mbraid.scalars.vanishes_at_sqrt`` used before it reduced modulo u^2 - rho,
+kept verbatim apart from naming the library's RatFunc and ZERO.  Unlike the
+rest of this module it works on library values: it takes
+``mbraid.scalars.Poly`` operands and returns ``mbraid.scalars.RatFunc``
+coefficients.
 """
 
 from __future__ import annotations
@@ -17,6 +24,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import add
 
+from mbraid import scalars
 from mbraid.scalars import DivisionByZero
 
 _NVARS = 6
@@ -178,3 +186,29 @@ class RatFunc:
             base = base * base if n > 1 else base
             n >>= 1
         return out
+
+
+def poly_divmod_in(f: scalars.Poly, g: scalars.Poly, name: str):
+    """Univariate division of f by g in the named symbol, over rational
+    functions of the remaining symbols.  Returns ({power: RatFunc} quotient,
+    {power: RatFunc} remainder); empty remainder means exact divisibility."""
+    fc = {e: scalars.RatFunc(c) for e, c in f.coeffs_in(name).items() if not c.is_zero()}
+    gc = {e: scalars.RatFunc(c) for e, c in g.coeffs_in(name).items() if not c.is_zero()}
+    if not gc:
+        raise DivisionByZero("division by the zero polynomial")
+    dg = max(gc)
+    lead = gc[dg]
+    quot: dict = {}
+    rem = dict(fc)
+    while rem and max(rem) >= dg:
+        dr = max(rem)
+        c = rem[dr] / lead
+        quot[dr - dg] = c
+        for e, gcoef in gc.items():
+            k = dr - dg + e
+            v = rem.get(k, scalars.ZERO) - c * gcoef
+            if v.is_zero():
+                rem.pop(k, None)
+            else:
+                rem[k] = v
+    return quot, rem

@@ -11,7 +11,8 @@ from mbraid.ncalgebra import (PLANE, NCPoly, RewriteRule, RewriteSystem,
 from mbraid.plane import (MIXED, PlaneSystem, UnsupportedDeformation, build_plane_system,
                           phi_commutators, phi_nilpotent, phi_poly,
                           projector_consistency, pure_sector_consistency)
-from mbraid.scalars import ONE, poly_divmod_in, substitute, sym
+from mbraid.scalars import ONE, substitute, sym
+from ref_scalars import poly_divmod_in
 
 K, P, Q, G, H = sym("K"), sym("p"), sym("q"), sym("g"), sym("h")
 

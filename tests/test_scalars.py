@@ -11,11 +11,11 @@ from mbraid.scalars import (
     UnknownSymbolError,
     const,
     limit_u0,
-    poly_divmod_in,
     substitute,
     sym,
     vanishes_at_sqrt,
 )
+from ref_scalars import poly_divmod_in
 
 K = sym("K")
 P = sym("p")
@@ -159,3 +159,43 @@ def test_vanishes_at_sqrt_truth_table():
     assert not vanishes_at_sqrt(ONE, rho)
     # without a gcd, root / root keeps u^2 - rho in its denominator
     assert not vanishes_at_sqrt(root / root, rho)
+    assert vanishes_at_sqrt(root * (U + P), rho)
+    assert vanishes_at_sqrt(U * U * U - rho * U, rho)
+    assert not vanishes_at_sqrt(U - rho, rho)
+    assert not vanishes_at_sqrt(U * U + rho, rho)
+    # u p is p s at s: its constant part is zero and its s part is not
+    assert not vanishes_at_sqrt(U * P, rho)
+
+
+def _divides_at_sqrt(x, rho):
+    """The long-division form of vanishes_at_sqrt: u^2 - rho divides the
+    numerator and not the denominator."""
+    g = (U * U - rho).num
+    return not poly_divmod_in(x.num, g, "u")[1] and bool(poly_divmod_in(x.den, g, "u")[1])
+
+
+def _random_u_value(rng):
+    v = ZERO
+    for e in range(rng.randint(1, 3)):
+        v = v + rng.randint(-2, 2) * _random_value(rng) * U ** e
+    return v
+
+
+def test_vanishes_at_sqrt_matches_long_division():
+    rng = random.Random(20261019)
+    rhos = (2 * P * Q / (P + Q), P, const(2), K * P / (Q + 1), P + Q)
+    seen = set()
+    for _ in range(300):
+        rho = rng.choice(rhos)
+        root = U * U - rho
+        num = _random_u_value(rng) * rng.choice((ONE, root, root * (U + P)))
+        den = _random_u_value(rng)
+        if den.is_zero():
+            den = ONE + U
+        if rng.random() < 0.25:
+            den = den * root
+        x = num / den
+        got = vanishes_at_sqrt(x, rho)
+        assert got == _divides_at_sqrt(x, rho), (x, rho)
+        seen.add(got)
+    assert seen == {True, False}
