@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from .catalog import DEFORMATIONS, build_rhat, deformation, verify_pass
 from .checks import registered_checks
-from .identities import _braid_defect
+from .identities import _defect_at, _split_defect
 from .ncalgebra import GROUP, PLANE, NCPoly, StepCapExceeded, normal_order
 from .plane import MIXED, build_plane_system, build_pure_system
 from .rtt import SpanMismatch, solve_family
@@ -59,6 +59,8 @@ MAX_DEPTH = 100
 # symbols' exponents and a word, and becomes one NCPoly term, with one
 # RatFunc, when a compound factor, a '/' or the end of the term arrives.  The
 # product with what came before the run is then a single NCPoly product.
+# factor reads its atoms (before '^', after '/' or a unary '-') through run,
+# stopped after one atom, so only run classifies atoms and refuses unknowns.
 # Each '*' of the run still makes the size check its product would have made,
 # at its own offset and before the next factor is read: multiplying by an
 # atom leaves the term counts of the left operand as they are and only
@@ -104,10 +106,6 @@ def _syntax_error(msg: str, offset: int) -> SyntaxError:
     err = SyntaxError(f"{msg} at offset {offset}")
     err.offset = offset
     return err
-
-
-def _unknown_symbol(name: str, offset: int) -> UnknownSymbolError:
-    return UnknownSymbolError(f"unknown symbol {name!r} at offset {offset}")
 
 
 def _literal(text: str, offset: int) -> tuple:
@@ -191,10 +189,11 @@ class _Parser:
             out = out.scale(ONE / rhs.coefficient(()))
         return out
 
-    def run(self, out, offset=None) -> NCPoly:
+    def run(self, out, offset=None, single=False) -> NCPoly:
         """out times the run of '*'-joined atomic factors starting here, the
         run built as one monomial.  out is None when the run begins the term;
-        otherwise offset is that of the '*' before the run."""
+        otherwise offset is that of the '*' before the run.  single stops the
+        run after its first atom."""
         num = den = 1
         exps, word = [0] * len(SYMBOLS), []
         # the sizes of the product so far; a term starts from the number 1
@@ -212,14 +211,14 @@ class _Parser:
                 word.append(text)
                 wb = 1
             else:
-                raise _unknown_symbol(text, at)
+                raise UnknownSymbolError(f"unknown symbol {text!r} at offset {at}")
             if offset is not None:
                 _check_size((na, da, longest), (nb, nb, wb), offset)
             if nb and na:
                 longest += wb
             else:
                 na = da = longest = 0
-            if self.peek()[0] != "*" or not self.atomic(self.pos + 1):
+            if single or self.peek()[0] != "*" or not self.atomic(self.pos + 1):
                 break
             offset = self.take()[2]
         if not num:
@@ -239,17 +238,8 @@ class _Parser:
             out = -self.factor()
             self.depth -= 1
             return out
-        if kind == "num":
-            self.take()
-            out = NCPoly.unit(Fraction(*_literal(text, offset)))
-        elif kind == "name":
-            self.take()
-            if text in COMMUTING:
-                out = NCPoly.unit(sym(text))
-            elif text in NONCOMMUTING:
-                out = NCPoly.gen(text)
-            else:
-                raise _unknown_symbol(text, offset)
+        if kind in ("num", "name"):
+            out = self.run(None, single=True)
         elif kind == "(":
             self.take()
             out = self.expr()
@@ -287,9 +277,10 @@ def parse_expression(text: str) -> NCPoly:
 def run_scan(d, bindings, kmin, kmax, steps: int, out: str) -> list:
     """Frobenius norm of the braid defect on an even grid of couplings.
 
-    The bindings go into the 16 entries of Rhat first, so the braid defect
-    of the bound matrix is polynomial in K alone; its squared entries are
-    summed once into F(K), an exact polynomial in K.  The grid and F are
+    The bindings go into the 16 entries of Rhat first and must leave it
+    polynomial in K, or ValueError names the family.  The braid defect of the
+    bound matrix comes from its K-free coefficients (identities._split_defect),
+    and its squared entries are summed once into F(K).  The grid and F are
     evaluated in integers: point i is (start + stride*i)/scale, and F there
     is a numerator/denominator pair.  Each side is a polynomial in i with
     integer values, so integer Horner evaluates it at its first degree + 1
@@ -303,7 +294,8 @@ def run_scan(d, bindings, kmin, kmax, steps: int, out: str) -> list:
     spec = deformation(d)
     bindings = dict(bindings)
     rhat = build_rhat(spec).map(lambda e: substitute(e, bindings))
-    f = sum((e * e for e in _braid_defect(rhat).data), ZERO)
+    defect = _defect_at(_split_defect(rhat, spec.id), ONE, sym("K"), ZERO)
+    f = sum((e * e for e in defect.data), ZERO)
     free = [name for name in SYMBOLS if name != "K" and name in f.symbols()]
     if free:
         raise UnknownSymbolError(f"no value bound for {free[0]!r}")

@@ -22,7 +22,7 @@ How the defect is computed.  With N = Rhat - I and any scalar a,
     defect(a I + N) = a^2 E1 + a E2 + E3,
     E1 = N12 - N23,  E2 = (N^2)12 - (N^2)23,  E3 = N12 N23 N12 - N23 N12 N23,
 
-because a I commutes with everything.  _defect_coefficients splits N by
+because a I commutes with everything.  _split_defect splits N by
 powers of K into K-free 4x4 matrices and forms E1, E2 and E3 as
 polynomials in K with K-free 8x8 coefficients, never multiplying a zero
 coefficient.  For the catalog N = K A, so the K-dependence costs one 4x4
@@ -47,8 +47,7 @@ cli.run_verify) mbe_factor and _defect_coefficients run once per family and
 the mbe, braid-values and s-shift checks share the result; outside one,
 every call computes afresh.  mbe_r_form keeps the full symbolic triple
 product of R = P.Rhat, so it is an independent cross-check that the split
-loses nothing.
-run_scan keeps _braid_defect on its bound matrix.
+loses nothing.  cli.run_scan applies _split_defect to its parameter-bound Rhat.
 """
 
 from __future__ import annotations
@@ -69,13 +68,6 @@ def mbe_factor(d) -> RatFunc:
     spec = deformation(d)
     k = sym("K")
     return (k / spec.K1 - 1) * (k / spec.K2 - 1)
-
-
-def _braid_defect(m: ParamMatrix) -> ParamMatrix:
-    """m12 m23 m12 - m23 m12 m23 for a 4x4 matrix m, an 8x8 matrix."""
-    m12 = embed12(m)
-    m23 = embed23(m)
-    return m12 @ m23 @ m12 - m23 @ m12 @ m23
 
 
 def _mat_poly_mul(f: dict, g: dict) -> dict:
@@ -105,13 +97,19 @@ def _mat_poly_sub(f: dict, g: dict) -> dict:
 
 @per_pass
 def _defect_coefficients(d) -> tuple:
-    """(E1, E2, E3), each {power of K: K-free 8x8 matrix}, with
-    defect(a I + N) = a^2 E1 + a E2 + E3 for N = Rhat - I."""
+    """_split_defect of the family's symbolic Rhat."""
     spec = deformation(d)
+    return _split_defect(build_rhat(spec), spec.id)
+
+
+def _split_defect(rhat: ParamMatrix, name: str) -> tuple:
+    """(E1, E2, E3), each {power of K: K-free 8x8 matrix}, with
+    defect(a I + N) = a^2 E1 + a E2 + E3 for N = rhat - I.  An entry with K
+    in its denominator raises ValueError, naming the family as name."""
     parts: dict = {}
-    for idx, e in enumerate((build_rhat(spec) - ParamMatrix.identity(4)).data):
+    for idx, e in enumerate((rhat - ParamMatrix.identity(4)).data):
         if "K" in e.den.symbols():
-            raise ValueError(f"{spec.id}: Rhat[{idx // 4}, {idx % 4}] = {e} has K in its "
+            raise ValueError(f"{name}: Rhat[{idx // 4}, {idx % 4}] = {e} has K in its "
                              "denominator; the braid defect is split only for Rhat "
                              "polynomial in K")
         for power, c in e.num.coeffs_in("K").items():

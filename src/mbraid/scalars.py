@@ -440,7 +440,7 @@ def substitute(x: RatFunc, bindings: Mapping[str, Scalar]) -> RatFunc:
 
 
 def _poly_substitute(p: Poly, vals: Mapping[str, RatFunc]) -> RatFunc:
-    total = ZERO
+    total = None
     for mono, c in p.terms.items():
         residual = list(mono)
         factor = None
@@ -452,8 +452,8 @@ def _poly_substitute(p: Poly, vals: Mapping[str, RatFunc]) -> RatFunc:
         term = RatFunc(Poly({tuple(residual): c}))
         if factor is not None:
             term = term * factor
-        total = total + term
-    return total
+        total = term if total is None else total + term
+    return ZERO if total is None else total
 
 
 def limit_u0(x: RatFunc) -> RatFunc:

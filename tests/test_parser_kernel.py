@@ -92,7 +92,8 @@ def test_parser_matches_reference_on_seeded_expressions():
     "2/3*3/2*x", "(1/p)*p*K*3/4", "x/p*p*q*3/4*x", "-5/4*h*b*a", "9*p*d*c*c*b",
     "0", "0/5", "0*x*y", "x*0", "3/0*x", "x*0/0", "x*y*z", "1" * 4400 + "*x",
     "x*" + "1" * 4400, "٣*x", "x*٣/٤", "x" + "*x" * 1000, "0" + "*x" * 1001,
-    "(x-x)" + "*y" * 1001,
+    "(x-x)" + "*y" * 1001, "x/2*y", "-2*x", "-x^2*y", "4/6^2*x", "x/q*y", "x/3/4",
+    "x/zz", "x/0",
 ])
 def test_parser_matches_reference_at_the_edges(text):
     assert _outcome(parse_expression, text) == _outcome(ref.parse_expression, text)

@@ -12,10 +12,12 @@ from fractions import Fraction
 import pytest
 import ref_scan as ref
 
+from mbraid import cli, identities
 from mbraid.catalog import build_rhat, deformation
 from mbraid.cli import _horner, _on_grid, run_scan
 from mbraid.pmatrix import embed12, embed23
-from mbraid.scalars import ZERO, DivisionByZero, UnknownSymbolError, substitute
+from mbraid.scalars import (ZERO, DivisionByZero, UnknownSymbolError, substitute,
+                            sym)
 
 F = Fraction
 PARAMS = {"pq": ("p", "q"), "gh": ("g", "h"), "qh": ("q", "h")}
@@ -154,3 +156,29 @@ def test_scan_rows_follow_the_closed_form(tmp_path, d, bindings, c):
     for k, fro in rows:
         lam = (k / k1 - 1) * (k / k2 - 1)
         assert fro == math.sqrt(c_exact * k * k * lam * lam), k
+
+
+def test_scan_evaluates_the_defect_once(tmp_path, monkeypatch):
+    calls = []
+    real = cli._defect_at
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(cli, "_defect_at", counting)
+    run_scan("pq", _defaults("pq"), F(-3), F(5, 2), 101, str(tmp_path / "scan.csv"))
+    assert len(calls) == 1
+
+
+def test_the_scan_kernel_is_the_only_defect_kernel():
+    assert not hasattr(identities, "_braid_defect")
+
+
+@pytest.mark.parametrize("shift, kmin", [(3, 0), (1, -3)])  # the second grid meets the pole
+def test_scan_refuses_bindings_that_put_k_in_a_denominator(tmp_path, shift, kmin):
+    # the library takes any scalar binding; mbraid scan passes only rationals
+    out = tmp_path / "scan.csv"
+    with pytest.raises(ValueError, match=r"^pq: Rhat\[.*has K in its denominator"):
+        run_scan("pq", {"p": sym("K") + shift, "q": 3}, kmin, 2, 21, str(out))
+    assert not out.exists()
