@@ -165,10 +165,11 @@ def projectors(d, k=None):
 
 
 def kprime(d, k=None) -> RatFunc:
-    """The dual coupling K' with flip21(R(K)) . R(K') = I; an involution."""
+    """The dual coupling K' = K/(1 - X), with flip21(R(K)) . R(K') = I;
+    an involution."""
     spec = deformation(d)
     k = _coupling(k)
-    denom = k / spec.K1 + k / spec.K2 - 1
+    denom = 1 - hecke_X(spec, k)
     if denom.is_zero():
         raise DivisionByZero(f"{spec.id}: K' undefined where K/K1 + K/K2 = 1")
     return k / denom

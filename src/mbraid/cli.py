@@ -296,7 +296,7 @@ def run_scan(d, bindings, kmin, kmax, steps: int, out: str) -> list:
     rhat = build_rhat(spec).map(lambda e: substitute(e, bindings))
     defect = _defect_at(_split_defect(rhat, spec.id), ONE, sym("K"), ZERO)
     f = sum((e * e for e in defect.data), ZERO)
-    free = [name for name in SYMBOLS if name != "K" and name in f.symbols()]
+    free = sorted(f.symbols() - {"K"}, key=SYMBOLS.index)
     if free:
         raise UnknownSymbolError(f"no value bound for {free[0]!r}")
     num, den = _k_coeffs(f.num), _k_coeffs(f.den)
@@ -484,7 +484,7 @@ def _do_scan(args) -> int:
     try:
         rows = run_scan(args.deformation, bindings, args.kmin, args.kmax,
                         args.steps, args.csv)
-    except (ValueError, UnknownSymbolError, DivisionByZero, OverflowError, OSError) as exc:
+    except (ValueError, DivisionByZero, OverflowError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     detail = f"{len(rows)} rows -> {args.csv}"

@@ -82,7 +82,7 @@ def contract_matrix(k=None) -> ParamMatrix:
 
 
 def _tilde_rename(p: NCPoly) -> NCPoly:
-    return change_of_basis(p, {n: NCPoly.gen(t) for n, t in TILDE_OF.items()})
+    return NCPoly({tuple(TILDE_OF[n] for n in w): c for w, c in p.coeffs.items()})
 
 
 def _transported_rules(plain_system, to_tilde, tilde_alphabet) -> RewriteSystem:
@@ -132,8 +132,7 @@ def _relations_emerge(gh_system, tilde_system, fr) -> bool:
     """Every rule of a nonstandard system, in tilde letters, contracts to 0
     modulo the transported two-parameter relations."""
     for lhs, rule in gh_system.by_lhs.items():
-        defect = (NCPoly.from_word(tuple(TILDE_OF[n] for n in lhs))
-                  - _tilde_rename(rule.rhs))
+        defect = _tilde_rename(NCPoly.from_word(lhs) - rule.rhs)
         if not _contract_defect(defect, tilde_system, fr).is_zero():
             return False
     return True

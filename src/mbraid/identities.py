@@ -89,10 +89,8 @@ def _mat_poly_add(*polys: dict) -> dict:
 
 
 def _mat_poly_sub(f: dict, g: dict) -> dict:
-    out = dict(f)
-    for e, y in g.items():
-        out[e] = out[e] - y if e in out else -y
-    return out
+    """f - g for two polynomials with the same powers of K."""
+    return {e: x - g[e] for e, x in f.items()}
 
 
 @per_pass
@@ -233,7 +231,7 @@ def affine_decomposition(d):
     Rhat(K) = c1 Rhat(K1) + c2 Rhat(K2).  Degenerate when K1 = K2."""
     spec = deformation(d)
     k = sym("K")
-    if (spec.K2 - spec.K1).is_zero():
+    if len(braid_couplings(spec)) == 1:
         raise DegenerateValues(f"{spec.id}: K1 = K2 = {spec.K1}")
     c1 = (spec.K2 - k) / (spec.K2 - spec.K1)
     c2 = (k - spec.K1) / (spec.K2 - spec.K1)
@@ -244,7 +242,7 @@ def baxterization_check(d, k=None) -> bool:
     """Rhat(K) = (K/Ki) Rhat(Ki) - (K/Ki - 1) I at each distinct degeneracy
     point."""
     spec = deformation(d)
-    k = sym("K") if k is None else k
+    k = _coupling(k)
     rhat = build_rhat(spec, k)
     ident = ParamMatrix.identity(4)
     for ki in braid_couplings(spec):

@@ -5,8 +5,9 @@ families: P1 annihilates coordinate bilinears, P2 annihilates differential
 bilinears, and the mixed sector reorders coordinate-differential words via
 x^i xi^j = (1/(1-X)) Rhat^{ij}_{i'j'} xi^{i'} x^{j'}.  Because Rhat is
 affine in K with Rhat(0) = I, both projectors are K-free and the pure
-sectors never see the coupling; the mixed rules carry all K-dependence
-through the single scalar 1/(1-X) and the nilpotent combination Phi.
+sectors never see the coupling.  Each mixed rule is the Wess-Zumino form
+x^i xi^j -> c (xi^i x^j + w Phi): all K-dependence sits in the scalar
+c = 1/(1-X) and a K-multiple w of the nilpotent combination Phi.
 projector_consistency writes each family as one matrix whose rows,
 contracted with a vector of words, must normal-order to zero: P1 and P2
 against the bilinears, [I | -(1/(1-X)) Rhat] against the x^i xi^j words
@@ -94,13 +95,17 @@ def phi_poly(did: str) -> NCPoly:
     raise UnsupportedDeformation(f"no mixed combination for {did!r}")
 
 
+# x^i xi^j, then xi^i' x^j', each in Rhat's (first factor major) order
+_MIXED_WORDS = (("x", "xi"), ("x", "eta"), ("y", "xi"), ("y", "eta"),
+                ("xi", "x"), ("xi", "y"), ("eta", "x"), ("eta", "y"))
+
+
 @per_pass
 def build_plane_system(d, k=None) -> PlaneSystem:
     """Full plane calculus (pure + mixed rules) for the pq or gh family.
 
-    The mixed right-hand sides are stored pre-expanded, with Phi folded in,
-    so that every rule right-hand side is already in normal form.
-    """
+    The weight table holds the nonzero w of each mixed rule, and every rule
+    right-hand side is already in normal form."""
     spec = deformation(d)
     if spec.id not in MIXED:
         raise UnsupportedDeformation(
@@ -109,24 +114,17 @@ def build_plane_system(d, k=None) -> PlaneSystem:
     one_minus_X = 1 - hecke_X(spec, k)
     c = ONE / one_minus_X
     p, q, h = sym("p"), sym("q"), sym("h")
+    weights = ({("x", "eta"): k / p, ("y", "xi"): -k * q / p} if spec.id == "pq"
+               else {("x", "xi"): k * h, ("x", "eta"): k, ("y", "xi"): -k})
     phi = phi_poly(spec.id)
-    if spec.id == "pq":
-        mixed = [
-            RewriteRule(("x", "xi"), _word("xi", "x").scale(c)),
-            RewriteRule(("x", "eta"), (_word("xi", "y") + phi.scale(k / p)).scale(c)),
-            RewriteRule(("y", "xi"), (_word("eta", "x") - phi.scale(k * q / p)).scale(c)),
-            RewriteRule(("y", "eta"), _word("eta", "y").scale(c)),
-        ]
-    else:
-        mixed = [
-            RewriteRule(("x", "xi"), (_word("xi", "x") + phi.scale(k * h)).scale(c)),
-            RewriteRule(("x", "eta"), (_word("xi", "y") + phi.scale(k)).scale(c)),
-            RewriteRule(("y", "xi"), (_word("eta", "x") - phi.scale(k)).scale(c)),
-            RewriteRule(("y", "eta"), _word("eta", "y").scale(c)),
-        ]
-    rules = RewriteSystem(f"{spec.id}-plane", PLANE,
-                          _pure_rules(spec.id) + mixed, _STEP_CAP)
-    return PlaneSystem(spec.id, k, rules, one_minus_X)
+    rules = _pure_rules(spec.id)
+    for lhs, word in zip(_MIXED_WORDS[:4], _MIXED_WORDS[4:]):
+        rhs = NCPoly.from_word(word)
+        if lhs in weights:
+            rhs = rhs + phi.scale(weights[lhs])
+        rules.append(RewriteRule(lhs, rhs.scale(c)))
+    return PlaneSystem(spec.id, k, RewriteSystem(f"{spec.id}-plane", PLANE, rules, _STEP_CAP),
+                       one_minus_X)
 
 
 def _vector_constraints(matrix, words, system) -> bool:
@@ -137,9 +135,6 @@ def _vector_constraints(matrix, words, system) -> bool:
 
 _COORD_WORDS = (("x", "x"), ("x", "y"), ("y", "x"), ("y", "y"))
 _DIFF_WORDS = (("xi", "xi"), ("xi", "eta"), ("eta", "xi"), ("eta", "eta"))
-# x^i xi^j, then xi^i' x^j', each in Rhat's (first factor major) order
-_MIXED_WORDS = (("x", "xi"), ("x", "eta"), ("y", "xi"), ("y", "eta"),
-                ("xi", "x"), ("xi", "y"), ("eta", "x"), ("eta", "y"))
 
 
 def _projector_constraints(p1, p2, system) -> bool:
