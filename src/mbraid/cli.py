@@ -28,7 +28,8 @@ from .scalars import (ONE, SYMBOLS, ZERO, DivisionByZero, Poly, RatFunc,
                       UnknownSymbolError, substitute, sym)
 
 NONCOMMUTING = GROUP + PLANE
-COMMUTING = ("K", "p", "q", "g", "h")
+_PARAMETERS = ("p", "q", "g", "h")  # bound by scan --p/--q/--g/--h
+COMMUTING = ("K", *_PARAMETERS)
 
 MAX_EXPONENT = 1000
 MAX_WORD = 1000
@@ -431,7 +432,7 @@ def _build_argparser() -> argparse.ArgumentParser:
 
     scan = sub.add_parser("scan", help="numeric braid-defect scan over K")
     scan.add_argument("--deformation", required=True, choices=DEFORMATIONS)
-    for name in ("p", "q", "g", "h"):
+    for name in _PARAMETERS:
         scan.add_argument(f"--{name}", type=_rational)
     scan.add_argument("--kmin", type=_rational, required=True)
     scan.add_argument("--kmax", type=_rational, required=True)
@@ -478,9 +479,7 @@ def _do_solve_rtt(args) -> int:
 
 
 def _do_scan(args) -> int:
-    bindings = {n: v for n, v in
-                (("p", args.p), ("q", args.q), ("g", args.g), ("h", args.h))
-                if v is not None}
+    bindings = {n: getattr(args, n) for n in _PARAMETERS if getattr(args, n) is not None}
     try:
         rows = run_scan(args.deformation, bindings, args.kmin, args.kmax,
                         args.steps, args.csv)
