@@ -17,6 +17,8 @@ import json
 import math
 import sys
 from fractions import Fraction
+from itertools import accumulate, islice, repeat
+from operator import truediv
 
 from .catalog import DEFORMATIONS, build_rhat, deformation, verify_pass
 from .checks import registered_checks
@@ -281,14 +283,14 @@ def run_scan(d, bindings, kmin, kmax, steps: int, out: str) -> list:
     The bindings go into the 16 entries of Rhat first and must leave it
     polynomial in K, or ValueError names the family.  The braid defect of the
     bound matrix comes from its K-free coefficients (identities._split_defect),
-    and its squared entries are summed once into F(K).  The grid and F are
-    evaluated in integers: point i is (start + stride*i)/scale, and F there
-    is a numerator/denominator pair.  Each side is a polynomial in i with
-    integer values, so integer Horner evaluates it at its first degree + 1
-    points only and forward differences give every later point, one int
-    addition per degree.  Only the square root, taken of their correctly
-    rounded int / int quotient, and the CSV text are floating point; K is
-    written as the correctly rounded k / scale.
+    and its squared entries are summed once into F(K).  F's denominator is one
+    positive int: no entry has K in a denominator, every other symbol is bound,
+    and normalization's monomial shift puts no K into a constant.  Point i of
+    the grid is (start + stride*i)/scale, and _on_grid gives F's numerator
+    there in integers, as running sums.  Only the square root of the correctly
+    rounded int / int quotient and the CSV text are floating point; K is
+    written as the correctly rounded k / scale.  Every column is built before
+    the CSV is opened, so an OverflowError writes none.
     """
     if not 2 <= steps <= MAX_SCAN_STEPS:
         raise ValueError(f"steps must be between 2 and {MAX_SCAN_STEPS}")
@@ -300,25 +302,24 @@ def run_scan(d, bindings, kmin, kmax, steps: int, out: str) -> list:
     free = sorted(f.symbols() - {"K"}, key=SYMBOLS.index)
     if free:
         raise UnknownSymbolError(f"no value bound for {free[0]!r}")
-    num, den = _k_coeffs(f.num), _k_coeffs(f.den)
+    num = _k_coeffs(f.num)
+    (den,) = f.den.terms.values()
     kmin, kmax = Fraction(kmin), Fraction(kmax)
     scale = math.lcm(kmin.denominator, kmax.denominator)
     start = kmin.numerator * (scale // kmin.denominator)
     stride = kmax.numerator * (scale // kmax.denominator) - start
     start *= steps - 1
     scale *= steps - 1
-    # the second member of every _horner pair, scale^(number of coefficients)
-    fpow, dpow = scale ** len(num), scale ** len(den)
-    rows, lines = [], []
-    for i, (fnum, fden) in enumerate(zip(_on_grid(num, start, stride, scale, steps),
-                                         _on_grid(den, start, stride, scale, steps))):
-        k = start + stride * i
-        fro = math.sqrt(fnum * dpow / (fpow * fden))
-        rows.append((Fraction(k, scale), fro))
-        lines.append(f"{k / scale:.17g},{fro:.17g}\n")
+    ks = list(accumulate(repeat(stride, steps - 1), initial=start))
+    grid = _on_grid(num, start, stride, scale, steps)
+    # _horner's second member is scale^(number of coefficients)
+    fro = list(map(math.sqrt, map(truediv, grid, repeat(scale ** len(num) * den))))
+    # the text first, so that join's list of lines is gone before the rows are
+    # made, and no copy with the header: the peak memory stays the old loop's
+    text = "".join(map("{:.17g},{:.17g}\n".format, map(truediv, ks, repeat(scale)), fro))
+    rows = list(zip(map(Fraction, ks, repeat(scale)), fro))
     with open(out, "w") as fh:
-        fh.write("K,residual_fro\n")
-        fh.writelines(lines)
+        fh.writelines(("K,residual_fro\n", text))
     return rows
 
 
@@ -341,23 +342,26 @@ def _horner(coeffs: list, a: int, b: int) -> tuple:
 
 
 def _on_grid(coeffs: list, start: int, stride: int, scale: int, steps: int):
-    """Yield _horner(coeffs, start + stride*i, scale)[0] for i in range(steps).
+    """An iterator over _horner(coeffs, start + stride*i, scale)[0] for i in
+    range(steps).
 
-    That value is a polynomial in i of the same degree n with integer
-    values, so Horner runs at the first n + 1 points only; they give the
-    forward differences at point 0, and each later point costs n int
-    additions.  The zero polynomial (no coefficients) is taken as degree 0.
+    That value is a polynomial in i of degree n with integer values, so
+    Horner runs at the first n + 1 points only and gives the forward
+    differences at point 0.  The n-th difference is constant and each lower
+    one is the running sum of the one above, so n chained ``accumulate``
+    calls give every later point in C; the chain yields steps + n values and
+    is cut to steps.  The zero polynomial (no coefficients) is taken as
+    degree 0.
     """
     n = max(len(coeffs) - 1, 0)
     diffs = [_horner(coeffs, start + stride * i, scale)[0] for i in range(n + 1)]
     for j in range(1, n + 1):
         for t in range(n, j - 1, -1):
             diffs[t] -= diffs[t - 1]
-    yield diffs[0]
-    for _ in range(steps - 1):
-        for j in range(n):
-            diffs[j] += diffs[j + 1]
-        yield diffs[0]
+    seq = repeat(diffs[-1], steps)
+    for d in reversed(diffs[:-1]):
+        seq = accumulate(seq, initial=d)
+    return islice(seq, steps)
 
 
 # -- verification --------------------------------------------------------

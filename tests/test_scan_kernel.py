@@ -16,8 +16,8 @@ from mbraid import cli, identities
 from mbraid.catalog import build_rhat, deformation
 from mbraid.cli import _horner, _on_grid, run_scan
 from mbraid.pmatrix import embed12, embed23
-from mbraid.scalars import (ZERO, DivisionByZero, UnknownSymbolError, substitute,
-                            sym)
+from mbraid.scalars import (ONE, ZERO, DivisionByZero, UnknownSymbolError,
+                            substitute, sym)
 
 F = Fraction
 PARAMS = {"pq": ("p", "q"), "gh": ("g", "h"), "qh": ("q", "h")}
@@ -182,3 +182,67 @@ def test_scan_refuses_bindings_that_put_k_in_a_denominator(tmp_path, shift, kmin
     with pytest.raises(ValueError, match=r"^pq: Rhat\[.*has K in its denominator"):
         run_scan("pq", {"p": sym("K") + shift, "q": 3}, kmin, 2, 21, str(out))
     assert not out.exists()
+
+
+def test_running_sums_match_horner_up_to_the_benchmark_grid():
+    # degrees 0..8 and the empty list, stride 0 and negative strides, steps = 1
+    # (one value, where the chain of running sums is cut), steps at the
+    # degree from both sides, and grids up to the benchmark's 1001 points
+    rng = random.Random(3301)
+    for length in range(10):
+        for steps in (1, 2, length, length + 1, length + 2, rng.randint(3, 1001), 1001):
+            steps = max(steps, 1)
+            for stride in (0, -rng.randint(1, 99), rng.randint(1, 99)):
+                coeffs = [rng.randint(-50, 50) for _ in range(length)]
+                start, scale = rng.randint(-999, 999), rng.randint(1, 60)
+                want = [_horner(coeffs, start + stride * i, scale)[0] for i in range(steps)]
+                assert list(_on_grid(coeffs, start, stride, scale, steps)) == want, (
+                    coeffs, start, stride, scale, steps)
+
+
+GOLDEN = {"pq": {"p": F(2), "q": F(3)}, "gh": {"g": F(1), "h": F(2)},
+          "qh": {"q": F(3), "h": F(5)}}
+
+
+def _benchmark_binding(d, seed):
+    # drawn as the scan workload draws its parameters: n/d, 1 <= n <= 6, 1 <= d <= 3
+    rng = random.Random(f"{seed}:{d}")
+    return {name: F(rng.randint(1, 6), rng.randint(1, 3)) for name in PARAMS[d]}
+
+
+@pytest.mark.parametrize("d", PARAMS)
+def test_scan_matches_reference_on_the_benchmark_grid(tmp_path, d):
+    for bindings in (GOLDEN[d], _benchmark_binding(d, 3302)):
+        rows, _ = _same(tmp_path, d, bindings, F(0), F(2), 1001)
+        assert rows[-1][0] == 2, bindings
+
+
+def _scan_f(d, bindings):
+    """F(K), the sum of the squared defect entries, built as run_scan builds it."""
+    spec = deformation(d)
+    rhat = build_rhat(spec).map(lambda e: substitute(e, bindings))
+    defect = cli._defect_at(identities._split_defect(rhat, spec.id), ONE, sym("K"), ZERO)
+    return sum((e * e for e in defect.data), ZERO)
+
+
+def _constant_denominator(f):
+    ((mono, c),) = f.den.terms.items()
+    return not any(mono) and type(c) is int and c > 0
+
+
+def test_the_scan_denominator_is_one_positive_int():
+    rng = random.Random(3303)
+
+    def value():
+        return F(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 5))
+
+    for d in PARAMS:
+        for _ in range(6):
+            f = _scan_f(d, {name: value() for name in PARAMS[d]})
+            assert _constant_denominator(f), (d, str(f))
+        # a bound K leaves F constant
+        f = _scan_f(d, {**_defaults(d), "K": F(5, 3)})
+        assert not f.symbols() and not f.is_zero() and _constant_denominator(f), d
+    # the zero F of gh at its braid coupling K = 1
+    f = _scan_f("gh", {**_defaults("gh"), "K": F(1)})
+    assert f.is_zero() and _constant_denominator(f)
