@@ -11,9 +11,10 @@ from .catalog import (DEFORMATIONS, braid_couplings, build_M, build_r,
                       triangular_K)
 from .contraction import (_limit, contract_group_relations, contract_matrix,
                           contract_plane, frame)
-from .identities import (DegenerateValues, affine_decomposition,
-                         baxterization_check, braid_values_check, mbe_factor,
-                         mbe_r_form, mbe_residual, s_shift_check)
+from .identities import (DegenerateValues, _defect_basis, _defect_vanishes,
+                         affine_decomposition, baxterization_check,
+                         braid_values_check, mbe_factor, mbe_r_form,
+                         s_shift_check)
 from .ncalgebra import build_group_system, critical_pairs, termination_order
 from .plane import (MIXED, build_plane_system, phi_commutators, phi_nilpotent,
                     projector_consistency, pure_sector_consistency)
@@ -63,7 +64,8 @@ def _check_rtt_span(d):
 
 
 def _check_mbe(d):
-    return mbe_residual(d).is_zero(), f"defect factor {mbe_factor(d)}"
+    return (_defect_vanishes(_defect_basis(d), ONE, sym("K"), mbe_factor(d)),
+            f"defect factor {mbe_factor(d)}")
 
 
 def _check_mbe_r_form(d):

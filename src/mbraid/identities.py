@@ -27,27 +27,35 @@ powers of K into K-free 4x4 matrices and forms E1, E2 and E3 as
 polynomials in K with K-free 8x8 coefficients, never multiplying a zero
 coefficient.  For the catalog N = K A, so the K-dependence costs one 4x4
 A @ A and A12 A23 A12 - A23 A12 A23 over K-free entries, both triple
-products sharing the one product A12 A23.  _defect_at then evaluates
-a^2 E1 + a E2 + E3 - lam E1 at a coupling: the braid residual (a = 1), the
-MBE residual (a = 1 minus lam E1), the shifted family (a = 1 - mu, and
-a = K/Ki at each root) and the braid values at K1 and K2.  It adds w * y
-only at the nonzero entries y of each coefficient matrix, an entry's first
-write stores w * y itself, and lam = 0 leaves a^2 as it is: the dense sum
-would add x + 0 = x at a zero entry, 0 + x = x at a first write and take
-a^2 - 0 = a^2, so every entry is written as the dense sum writes it.
-Divisibility needs no symbolic evaluation: B(K) = E1 + E2 + E3 is a
-polynomial in K with K-free matrix coefficients, and _lam_divides
-long-divides it by the K-coefficients of lam's numerator, one matrix-valued
-step per power, dropping zero matrices.  Nothing assumes
-Rhat(0) = I or that Rhat is affine, so a constant or higher-power term in K
-is split like any other.
+products sharing the one product A12 A23.
+
+The checks decide on coordinates, not on 8x8 matrices.  _defect_basis
+reduces the K-free coefficient matrices of E1, E2 and E3 to an independent
+basis of their span and stores each matrix's coordinates in it.  For every
+catalog family the span has dimension one: the coefficients of E2 and E3 are
+sigma and tau times that of E1, where lam = 1 + sigma K + tau K^2, so
+sigma = -(1/K1 + 1/K2) and tau = 1/(K1 K2).  _defect_vanishes decides
+whether a^2 E1 + a E2 + E3 - lam E1 is zero at a coupling from one scalar
+per basis vector: the MBE (a = 1 less lam E1), the braid values at K1 and K2
+(a = 1), and the shifted family (a = 1 - mu, and a = K/Ki at each root).
+Divisibility needs no symbolic evaluation either: B(K) = E1 + E2 + E3 is the
+sum of beta_b(K) times basis vector b, and _lam_divides long-divides each
+scalar polynomial beta_b by lam's numerator.  Nothing assumes Rhat(0) = I or
+that Rhat is affine, so a constant or higher-power term in K is split like
+any other, and its matrix joins the basis when it leaves the span.
 The one refusal is an entry with K in its denominator, which raises
 ValueError.  Inside a verify pass (catalog.verify_pass, opened by
-cli.run_verify) mbe_factor and _defect_coefficients run once per family and
-the mbe, braid-values and s-shift checks share the result; outside one,
-every call computes afresh.  mbe_r_form keeps the full symbolic triple
-product of R = P.Rhat, so it is an independent cross-check that the split
-loses nothing.  cli.run_scan applies _split_defect to its parameter-bound Rhat.
+cli.run_verify) mbe_factor, _defect_coefficients and _defect_basis run once
+per family and the mbe, braid-values and s-shift checks share the result;
+outside one, every call computes afresh.
+
+_defect_at builds the defect matrix itself, a^2 E1 + a E2 + E3 - lam E1 at a
+coupling, for braid_residual, mbe_residual and cli.run_scan, which applies
+_split_defect to its parameter-bound Rhat.  It adds w * y only at the nonzero
+entries y of each coefficient matrix and an entry's first write stores w * y
+itself, so every entry is written as the dense sum writes it.  mbe_r_form
+keeps the full symbolic triple product of R = P.Rhat, so it is an
+independent cross-check that the split loses nothing.
 """
 
 from __future__ import annotations
@@ -77,14 +85,6 @@ def _mat_poly_mul(f: dict, g: dict) -> dict:
         for h, y in g.items():
             z = x @ y
             out[e + h] = out[e + h] + z if e + h in out else z
-    return out
-
-
-def _mat_poly_add(*polys: dict) -> dict:
-    out: dict = {}
-    for f in polys:
-        for e, m in f.items():
-            out[e] = out[e] + m if e in out else m
     return out
 
 
@@ -138,6 +138,57 @@ def _defect_at(coeffs: tuple, a: RatFunc, k: RatFunc, lam: RatFunc) -> ParamMatr
     return ParamMatrix(8, 8, data)
 
 
+@per_pass
+def _defect_basis(d) -> tuple:
+    """(vectors, coordinates): an independent basis of the span of the K-free
+    matrices of _defect_coefficients, each read as a 64-entry vector, and
+    (part, power, coordinates) for every such matrix, part 0, 1 and 2 for
+    E1, E2 and E3.  Each matrix is reduced against the basis so far: a
+    vector's pivot is its first nonzero entry, and the coordinate is the
+    remainder's pivot entry over the vector's.  A nonzero remainder joins the
+    basis with coordinate 1, so every vector is zero at the earlier pivots
+    and the basis is independent: a combination of the matrices is zero
+    exactly when each of its coordinates is."""
+    basis: list = []  # (pivot, vector)
+    coords: list = []
+    for part, poly in enumerate(_defect_coefficients(d)):
+        for power, m in poly.items():
+            rest, coord = list(m.data), []
+            for pivot, vec in basis:
+                if rest[pivot].is_zero():
+                    coord.append(ZERO)
+                    continue
+                x = rest[pivot] / vec[pivot]
+                coord.append(x)
+                for i, v in enumerate(vec):
+                    if not v.is_zero():
+                        y = x * v
+                        rest[i] = -y if rest[i].is_zero() else rest[i] - y
+            pivot = next((i for i, r in enumerate(rest) if not r.is_zero()), None)
+            if pivot is not None:
+                basis.append((pivot, tuple(rest)))
+                coord.append(ONE)
+            coords.append((part, power, coord))
+    pad = (ZERO,) * len(basis)
+    return (tuple(vec for _, vec in basis),
+            tuple((part, power, (*coord, *pad[len(coord):])) for part, power, coord in coords))
+
+
+def _defect_vanishes(basis: tuple, a: RatFunc, k: RatFunc, lam: RatFunc) -> bool:
+    """Whether a^2 E1 + a E2 + E3 - lam E1 vanishes at K = k, decided on its
+    coordinates in basis (_defect_basis): coordinate b is the sum of
+    weight[part] k^power coord[b], and the basis is independent."""
+    vectors, coords = basis
+    weights = (a * a if lam.is_zero() else a * a - lam, a, ONE)
+    total = [ZERO] * len(vectors)
+    for part, power, coord in coords:
+        w = weights[part] * k ** power
+        for b, x in enumerate(coord):
+            if not x.is_zero():
+                total[b] = w * x if total[b].is_zero() else total[b] + w * x
+    return all(t.is_zero() for t in total)
+
+
 def braid_residual(d, k=None) -> ParamMatrix:
     """B(K) on the triple tensor product, an 8x8 matrix."""
     return _defect_at(_defect_coefficients(d), ONE, _coupling(k), ZERO)
@@ -171,39 +222,50 @@ def braid_divisibility(d) -> bool:
     """Every entry of symbolic B(K) is divisible by the numerator of lam(K),
     which is (K - K1)(K - K2) up to a K-free factor."""
     spec = deformation(d)
-    return _lam_divides(spec, _mat_poly_add(*_defect_coefficients(spec)))
+    return _lam_divides(spec, _defect_basis(spec))
 
 
-def _lam_divides(spec, b: dict) -> bool:
-    """Whether the numerator of lam(K) divides B(K) = sum of K^e b[e], with
-    b[e] K-free 8x8: long division whose steps are matrices, zero ones
-    dropped; lam divides exactly when nothing remains."""
+def _lam_divides(spec, basis: tuple) -> bool:
+    """Whether the numerator of lam(K) divides B(K) = E1 + E2 + E3.  B(K) is
+    the sum over the independent K-free vectors of basis of beta_b(K) times
+    vector b, beta_b(K) = sum of K^power coord[b], so lam divides B exactly
+    when it divides every beta_b: long division of scalars, zero terms
+    dropped, that leaves nothing."""
     divisor = {e: RatFunc(c) for e, c in mbe_factor(spec).num.coeffs_in("K").items()
                if not c.is_zero()}
     top = max(divisor)
     inv_lead = 1 / divisor.pop(top)
-    rem = {e: m for e, m in b.items() if not m.is_zero()}
-    while rem and max(rem) >= top:
-        e = max(rem)
-        step = rem.pop(e).scale(inv_lead)
-        for f, c in divisor.items():
-            k = e - top + f
-            sub = step.scale(c)
-            m = rem[k] - sub if k in rem else -sub
-            if m.is_zero():
-                rem.pop(k, None)
-            else:
-                rem[k] = m
-    return not rem
+    vectors, coords = basis
+    for b in range(len(vectors)):
+        beta: dict = {}
+        for _, power, coord in coords:
+            x = coord[b]
+            if not x.is_zero():
+                beta[power] = x if beta.get(power, ZERO).is_zero() else beta[power] + x
+        rem = {e: c for e, c in beta.items() if not c.is_zero()}
+        while rem and max(rem) >= top:
+            e = max(rem)
+            step = rem.pop(e) * inv_lead
+            for f, c in divisor.items():
+                k = e - top + f
+                sub = step * c
+                m = rem[k] - sub if k in rem else -sub
+                if m.is_zero():
+                    rem.pop(k, None)
+                else:
+                    rem[k] = m
+        if rem:
+            return False
+    return True
 
 
 def braid_values_check(d) -> bool:
     """B vanishes at each distinct braid coupling, and lam(K) divides B(K) =
-    E1 + E2 + E3; the defect coefficients are computed once for both."""
+    E1 + E2 + E3; the defect basis is computed once for both."""
     spec = deformation(d)
-    coeffs = _defect_coefficients(spec)
-    return (all(_defect_at(coeffs, ONE, ki, ZERO).is_zero() for ki in braid_couplings(spec))
-            and _lam_divides(spec, _mat_poly_add(*coeffs)))
+    basis = _defect_basis(spec)
+    return (all(_defect_vanishes(basis, ONE, ki, ZERO) for ki in braid_couplings(spec))
+            and _lam_divides(spec, basis))
 
 
 def s_shift_check(d) -> bool:
@@ -216,13 +278,13 @@ def s_shift_check(d) -> bool:
     root S = (K/Ki) I + N.
     """
     spec = deformation(d)
-    coeffs = _defect_coefficients(spec)
+    basis = _defect_basis(spec)
     mu = sym("u")  # u is unused by every catalog family, so it is free here
     coeff = mu * mu - hecke_X(spec) * mu + mbe_factor(spec)
     k = sym("K")
     factored = (mu - 1 + k / spec.K1) * (mu - 1 + k / spec.K2)
-    return (_defect_at(coeffs, 1 - mu, k, coeff).is_zero() and coeff == factored
-            and all(_defect_at(coeffs, k / ki, k, ZERO).is_zero()
+    return (_defect_vanishes(basis, 1 - mu, k, coeff) and coeff == factored
+            and all(_defect_vanishes(basis, k / ki, k, ZERO)
                     for ki in braid_couplings(spec)))
 
 

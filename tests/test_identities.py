@@ -1,10 +1,13 @@
+import io
 from fractions import Fraction
 
 import pytest
+from test_mutation import _patch_everywhere
 
 import mbraid.checks as checks
 import mbraid.identities as identities
-from mbraid.catalog import build_rhat, deformation
+from mbraid.catalog import build_rhat, deformation, per_pass
+from mbraid.cli import run_verify
 from mbraid.identities import (
     DegenerateValues,
     affine_decomposition,
@@ -117,19 +120,21 @@ def test_s_shift_rejects_a_planted_defect_factor(monkeypatch):
 
 
 def _count_defect_calls(monkeypatch):
-    """Record every _defect_at and _defect_coefficients call."""
-    calls = {"at": 0, "coefficients": 0}
-    real_at, real_coefficients = identities._defect_at, identities._defect_coefficients
+    """Record every coordinate evaluation (_defect_vanishes) and every
+    _defect_coefficients call."""
+    calls = {"evaluations": 0, "coefficients": 0}
+    real_vanishes, real_coefficients = (identities._defect_vanishes,
+                                        identities._defect_coefficients)
 
-    def at(*args):
-        calls["at"] += 1
-        return real_at(*args)
+    def vanishes(*args):
+        calls["evaluations"] += 1
+        return real_vanishes(*args)
 
     def coefficients(d):
         calls["coefficients"] += 1
         return real_coefficients(d)
 
-    monkeypatch.setattr(identities, "_defect_at", at)
+    monkeypatch.setattr(identities, "_defect_vanishes", vanishes)
     monkeypatch.setattr(identities, "_defect_coefficients", coefficients)
     return calls
 
@@ -138,19 +143,34 @@ def test_s_shift_checks_each_distinct_root_once(monkeypatch):
     # the symbolic shifted identity, then one braid relation per distinct root
     calls = _count_defect_calls(monkeypatch)
     for did, want in (("pq", 3), ("gh", 2), ("qh", 3)):
-        calls.update(at=0, coefficients=0)
+        calls.update(evaluations=0, coefficients=0)
         assert s_shift_check(did), did
-        assert calls == {"at": want, "coefficients": 1}, did
+        assert calls == {"evaluations": want, "coefficients": 1}, did
 
 
 def test_braid_values_checks_each_distinct_coupling_once(monkeypatch):
     # one braid relation per distinct coupling; B(K) is divided on its
-    # coefficients, never evaluated at symbolic K
+    # coordinates, never evaluated at symbolic K
     calls = _count_defect_calls(monkeypatch)
     for did, want in (("pq", 2), ("gh", 1), ("qh", 2)):
-        calls.update(at=0, coefficients=0)
+        calls.update(evaluations=0, coefficients=0)
         assert checks._check_braid_values(did)[0], did
-        assert calls == {"at": want, "coefficients": 1}, did
+        assert calls == {"evaluations": want, "coefficients": 1}, did
+
+
+def test_one_verify_pass_builds_each_defect_basis_once(monkeypatch):
+    # mbe, braid-values and s-shift share one basis per family
+    built = []
+
+    def counting(real):
+        def basis(d):
+            built.append(deformation(d).id)
+            return real.__wrapped__(d)
+        return per_pass(basis)
+
+    _patch_everywhere(monkeypatch, identities, "_defect_basis", counting)
+    assert run_verify("all", stream=io.StringIO()) == 0
+    assert built == list(DEFORMATIONS)
 
 
 def test_affine_decomposition():

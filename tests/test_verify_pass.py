@@ -18,7 +18,7 @@ from mbraid.catalog import (DEFORMATIONS, build_r, build_rhat, hecke_X,
                             projectors, verify_pass)
 from mbraid.checks import registered_checks
 from mbraid.cli import run_verify
-from mbraid.identities import _defect_coefficients, mbe_factor
+from mbraid.identities import _defect_basis, _defect_coefficients, mbe_factor
 from mbraid.ncalgebra import RewriteSystem, build_group_system
 from mbraid.plane import (MIXED, PlaneSystem, build_plane_system,
                           pure_sector_consistency)
@@ -101,7 +101,8 @@ def _printed(obj) -> str:
 
 def _shared_objects() -> list:
     builders = [build_rhat, build_r, hecke_X, projectors, mbe_factor,
-                _defect_coefficients, build_group_system, pure_sector_consistency]
+                _defect_coefficients, _defect_basis, build_group_system,
+                pure_sector_consistency]
     out = [fn(d) for d in DEFORMATIONS for fn in builders]
     return out + [build_plane_system(d) for d in MIXED]
 

@@ -3,8 +3,9 @@ operand, whose result RatFunc's fast paths already know.
 
 The matrix, defect and polynomial kernels skip those operations, so a pass
 reaches only the few left in code that does not look for zeros, and the
-accumulators of the RTT system, the RTT residual, the braid defect and
-elimination take their first write directly, so they reach none.  The
+accumulators of the RTT system, the RTT residual, the braid defect, its
+basis, coordinates and divisibility, and elimination take their first write
+directly, so they reach none.  The
 methods are patched on RatFunc itself, the way test_mutation.py patches
 functions, so every caller is counted.
 """
@@ -45,7 +46,9 @@ def test_one_verify_pass_rarely_reaches_a_zero_operand(monkeypatch):
 
 def test_accumulators_take_their_first_write_directly(monkeypatch):
     sites = {f.__code__: f.__qualname__ for f in (
-        rtt.assemble, rtt.rtt_residual, identities._defect_at, pmatrix._rref)}
+        rtt.assemble, rtt.rtt_residual, identities._defect_at,
+        identities._defect_basis.__wrapped__, identities._defect_vanishes,
+        identities._lam_divides, pmatrix._rref)}
     reached = Counter()
 
     def counting(real):
