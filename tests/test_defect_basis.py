@@ -103,16 +103,12 @@ def test_scalar_division_matches_the_entrywise_division(monkeypatch, name):
         assert braid_divisibility(d) is ref.braid_divisibility(d), d
 
 
-def _spectral(d) -> tuple:
-    """sigma = -(1/K1 + 1/K2) and tau = 1/(K1 K2): lam = 1 + sigma K + tau K^2."""
-    spec = deformation(d)
-    return -(1 / spec.K1 + 1 / spec.K2), 1 / (spec.K1 * spec.K2)
-
-
 def _has_spectral_shape(d) -> bool:
-    """One basis vector, E1 = K D, E2 = sigma K^2 D and E3 = tau K^3 D."""
+    """One basis vector, E1 = K D, E2 = sigma K^2 D and E3 = tau K^3 D, with
+    sigma = -(1/K1 + 1/K2) and tau = 1/(K1 K2): lam = 1 + sigma K + tau K^2."""
+    spec = deformation(d)
+    sigma, tau = -(1 / spec.K1 + 1 / spec.K2), 1 / (spec.K1 * spec.K2)
     vectors, coords = _defect_basis(d)
-    sigma, tau = _spectral(d)
     shape = [(part, power) for part, power, _ in coords]
     return (len(vectors) == 1 and shape == [(0, 1), (1, 2), (2, 3)]
             and [coord[0] for _, _, coord in coords] == [ONE, sigma, tau])
