@@ -15,7 +15,8 @@ pass, builds afresh, so nothing outlives the pass that built it.  Shared
 objects are never changed in place.
 
 Basis order is e1(x)e1, e1(x)e2, e2(x)e1, e2(x)e2, first factor most
-significant.  R = P.R-hat with P the factor swap pmatrix.SWAP.
+significant.  R = P.R-hat with P the factor swap perm_operator((2, 1)); the
+product exchanges the rows of e1(x)e2 and e2(x)e1 (pmatrix.perm_apply).
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from contextlib import contextmanager
 from functools import wraps
 from typing import NamedTuple
 
-from .pmatrix import SWAP, ParamMatrix
+from .pmatrix import ParamMatrix, perm_apply
 from .scalars import ONE, ZERO, DivisionByZero, RatFunc, as_ratfunc, sym
 
 
@@ -138,7 +139,7 @@ def build_rhat(d, k=None) -> ParamMatrix:
 @per_pass
 def build_r(d, k=None) -> ParamMatrix:
     """R(K) = P.R-hat(K), the RTT-form matrix."""
-    return SWAP @ build_rhat(d, k)
+    return perm_apply((2, 1), build_rhat(d, k))
 
 
 @per_pass

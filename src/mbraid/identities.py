@@ -54,15 +54,17 @@ coupling, for braid_residual, mbe_residual and cli.run_scan, which applies
 _split_defect to its parameter-bound Rhat.  It adds w * y only at the nonzero
 entries y of each coefficient matrix and an entry's first write stores w * y
 itself, so every entry is written as the dense sum writes it.  mbe_r_form
-keeps the full symbolic triple product of R = P.Rhat, so it is an
-independent cross-check that the split loses nothing.
+keeps both full symbolic triple products of R = P.Rhat, so it is an
+independent cross-check that the split loses nothing; only its products
+with permutation operators (R13 and the two cycles) move entries instead
+(pmatrix.perm_conjugate and pmatrix.perm_apply).
 """
 
 from __future__ import annotations
 
 from .catalog import (_coupling, braid_couplings, build_r, build_rhat,
                       deformation, hecke_X, per_pass)
-from .pmatrix import ParamMatrix, embed12, embed23, perm_operator
+from .pmatrix import ParamMatrix, embed12, embed23, perm_apply, perm_conjugate
 from .scalars import ONE, ZERO, RatFunc, sym
 
 
@@ -205,16 +207,16 @@ def mbe_r_form(d) -> ParamMatrix:
         R12 R13 R23 - R23 R13 R12 = lam (P(132) R23 - P(123) R12)
 
     with R13 the conjugate of R12 by the (2 3) factor swap and the cycles in
-    one-line notation (123) = (2,3,1), (132) = (3,1,2).  Returns lhs - rhs.
+    one-line notation (123) = (2,3,1), (132) = (3,1,2); both permutations
+    move entries rather than multiply.  Returns lhs - rhs.
     """
     r = build_r(d)
     r12 = embed12(r)
     r23 = embed23(r)
-    p23 = perm_operator((1, 3, 2))
-    r13 = p23 @ r12 @ p23
+    r13 = perm_conjugate((1, 3, 2), r12)
     lam = mbe_factor(d)
     lhs = r12 @ r13 @ r23 - r23 @ r13 @ r12
-    rhs = (perm_operator((3, 1, 2)) @ r23 - perm_operator((2, 3, 1)) @ r12).scale(lam)
+    rhs = (perm_apply((3, 1, 2), r23) - perm_apply((2, 3, 1), r12)).scale(lam)
     return lhs - rhs
 
 

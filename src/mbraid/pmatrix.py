@@ -13,8 +13,14 @@ Elimination (inverse, rank, nullspace) is plain Gauss-Jordan with the first
 nonzero entry as pivot, scanning top to bottom; division is exact, and the
 fixed pivot rule keeps every result deterministic.
 
-SWAP is the 4x4 tensor-factor swap P, the one copy of it: catalog.build_r
-multiplies by it and flip21 conjugates by it.
+Permutations of tensor factors and identity Kronecker factors move entries
+instead of multiplying by 0s and 1s.  perm_apply(sigma, m) is
+perm_operator(sigma) @ m, perm_conjugate(sigma, m) is P m P^-1, and embed12
+and embed23 place the entries of r into r (x) I and I (x) r.  The product
+with a 0/1 matrix writes each nonzero entry as ONE * x, which is x itself,
+so the moved entries are the very objects the product would give.  flip21
+is conjugation by the 4x4 factor swap P = perm_operator((2, 1)), and
+catalog.build_r is perm_apply((2, 1), Rhat).
 """
 
 from __future__ import annotations
@@ -143,13 +149,38 @@ def kron(a: ParamMatrix, b: ParamMatrix) -> ParamMatrix:
 
 
 def embed12(r: ParamMatrix) -> ParamMatrix:
-    """r acting on factors 1,2 of a triple tensor product: r (x) I."""
-    return kron(r, ParamMatrix.identity(2))
+    """r acting on factors 1,2 of a triple tensor product: r (x) I, its
+    entries moved into place rather than multiplied by the 1s of I."""
+    n = r.cols
+    return ParamMatrix(2 * r.rows, 2 * n,
+                       [r.data[i * n + j] if k == l else ZERO
+                        for i in range(r.rows) for k in range(2)
+                        for j in range(n) for l in range(2)])
 
 
 def embed23(r: ParamMatrix) -> ParamMatrix:
-    """r acting on factors 2,3: I (x) r."""
-    return kron(ParamMatrix.identity(2), r)
+    """r acting on factors 2,3: I (x) r, entries moved as in embed12."""
+    n = r.cols
+    return ParamMatrix(2 * r.rows, 2 * n,
+                       [r.data[k * n + l] if i == j else ZERO
+                        for i in range(2) for k in range(r.rows)
+                        for j in range(2) for l in range(n)])
+
+
+def _perm_columns(sigma) -> list:
+    """The column of the one 1 in each row of perm_operator(sigma)."""
+    sig = tuple(sigma)
+    if sorted(sig) != list(range(1, len(sig) + 1)):
+        raise ValueError(f"not a permutation of 1..{len(sig)}: {sig}")
+    n = len(sig)
+    columns = []
+    for row in range(2 ** n):
+        bits = [(row >> (n - 1 - t)) & 1 for t in range(n)]
+        col = 0
+        for t in range(n):
+            col = 2 * col + bits[sig[t] - 1]
+        columns.append(col)
+    return columns
 
 
 def perm_operator(sigma) -> ParamMatrix:
@@ -160,27 +191,41 @@ def perm_operator(sigma) -> ParamMatrix:
     Acts by (P_sigma v)_{j_1..j_n} = v_{j_sigma(1)..j_sigma(n)}, which makes
     it a homomorphism: P_sigma P_tau = P_{sigma o tau}.
     """
-    sig = tuple(sigma)
-    if sorted(sig) != list(range(1, len(sig) + 1)):
-        raise ValueError(f"not a permutation of 1..{len(sig)}: {sig}")
-    n = len(sig)
-    size = 2 ** n
+    columns = _perm_columns(sigma)
+    size = len(columns)
     data = [ZERO] * (size * size)
-    for row in range(size):
-        bits = [(row >> (n - 1 - t)) & 1 for t in range(n)]
-        col = 0
-        for t in range(n):
-            col = 2 * col + bits[sig[t] - 1]
+    for row, col in enumerate(columns):
         data[row * size + col] = ONE
     return ParamMatrix(size, size, data)
 
 
-SWAP = perm_operator((2, 1))  # the 4x4 tensor-factor swap P
+def _take(m: ParamMatrix, rows, cols) -> ParamMatrix:
+    """The matrix with entry (i, j) = m[rows[i], cols[j]], the same object."""
+    return ParamMatrix(len(rows), len(cols), [m.data[i * m.cols + j] for i in rows for j in cols])
+
+
+def perm_apply(sigma, m: ParamMatrix) -> ParamMatrix:
+    """perm_operator(sigma) @ m by moving rows: row i is row c(i) of m, c(i)
+    being the column of the 1 in row i of the operator."""
+    columns = _perm_columns(sigma)
+    if m.rows != len(columns):
+        raise DimensionMismatch(f"{len(columns)}x{len(columns)} @ {m.rows}x{m.cols}")
+    return _take(m, columns, range(m.cols))
+
+
+def perm_conjugate(sigma, m: ParamMatrix) -> ParamMatrix:
+    """P m P^-1 for P = perm_operator(sigma) by moving entries: entry (i, j)
+    is m[c(i), c(j)], with c as in perm_apply."""
+    columns = _perm_columns(sigma)
+    if (m.rows, m.cols) != (len(columns), len(columns)):
+        raise DimensionMismatch(f"conjugating {m.rows}x{m.cols} by a "
+                                f"{len(columns)}x{len(columns)} permutation")
+    return _take(m, columns, columns)
 
 
 def flip21(m: ParamMatrix) -> ParamMatrix:
-    """Conjugation by the tensor-factor swap: flip21(x y) = flip21(x) flip21(y)."""
-    return SWAP @ m @ SWAP
+    """Conjugation by the 4x4 tensor-factor swap P: flip21(x y) = flip21(x) flip21(y)."""
+    return perm_conjugate((2, 1), m)
 
 
 def _rref(m: ParamMatrix):
@@ -219,9 +264,10 @@ def rank(m: ParamMatrix) -> int:
     return len(pivots)
 
 
-def nullspace(m: ParamMatrix) -> list:
-    """Basis of the right nullspace, one vector (a plain list) per free column.
-    The fixed pivot rule makes the basis deterministic."""
+def nullspace(m: ParamMatrix, with_free: bool = False):
+    """Basis of the right nullspace, one vector (a plain list) per free column
+    f: 1 at f, 0 at every other free column.  The fixed pivot rule makes the
+    basis deterministic.  with_free=True returns (free columns, basis)."""
     work, pivots = _rref(m)
     free = [c for c in range(m.cols) if c not in pivots]
     basis = []
@@ -231,7 +277,7 @@ def nullspace(m: ParamMatrix) -> list:
         for i, pc in enumerate(pivots):
             v[pc] = -work[i][f]
         basis.append(v)
-    return basis
+    return (free, basis) if with_free else basis
 
 
 def inverse(m: ParamMatrix) -> ParamMatrix:

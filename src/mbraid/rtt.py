@@ -15,15 +15,21 @@ checks reach their answers by different routes.  Both store the first term of a
 sum, c or -c, as it is, which is what 0 + c and 0 - c return.  Oracles:
 tests/ref_rtt.py for assemble, tests/test_rtt_exchange.py (T1 T2 and T2 T1
 built without the table) for rtt_residual.  solve_family returns the nullspace
-reshaped to 4x4; the basis vectors are independent, so the catalog family lies
-in their span exactly when appending it leaves the rank unchanged.
+reshaped to 4x4.  It eliminates the rows sparsest first (a stable sort on the
+count of nonzero entries), so the rows with a single entry clear their
+columns before any longer row is touched; a reduced echelon form does not
+depend on the order of the rows, so neither do the basis values.  Each basis
+vector is 1 at its free column and 0 at the other free columns, so R lies in
+the span exactly when R = sum over the free columns f of R[f] times vector
+f, which is checked entry by entry; tests/ref_rtt.py keeps the rank
+comparison this replaced.
 """
 
 from __future__ import annotations
 
 from .catalog import build_r, deformation
 from .ncalgebra import NCPoly, RewriteSystem, build_group_system, normal_order
-from .pmatrix import ParamMatrix, rank
+from .pmatrix import ParamMatrix
 from .pmatrix import nullspace as _nullspace
 from .scalars import ONE, ZERO
 
@@ -84,11 +90,26 @@ def solve_family(d) -> list:
     """Nullspace of the assembled system as 4x4 matrices.  Raises SpanMismatch
     if the catalog family R(K) does not lie in the solved span."""
     spec = deformation(d)
-    basis = _nullspace(assemble(spec))
-    catalog_vec = build_r(spec).data
-    aug = ParamMatrix(16, len(basis) + 1,
-                      [e for i in range(16)
-                       for e in [*(vec[i] for vec in basis), catalog_vec[i]]])
-    if rank(aug) != len(basis):
+    system = assemble(spec)
+    rows = sorted((system.row(i) for i in range(system.rows)),
+                  key=lambda row: sum(not e.is_zero() for e in row))
+    free, basis = _nullspace(ParamMatrix(system.rows, 16, [e for row in rows for e in row]),
+                             with_free=True)
+    if not _in_span(free, basis, build_r(spec).data):
         raise SpanMismatch(f"{spec.id}: catalog matrix outside the solution span")
     return [ParamMatrix(4, 4, list(vec)) for vec in basis]
+
+
+def _in_span(free: list, basis: list, target: list) -> bool:
+    """Whether target is a combination of the nullspace basis whose vector
+    for free column f is 1 at f and 0 at the other free columns: target[f]
+    is then its coordinate, and every entry must equal the coordinate sum."""
+    for i, want in enumerate(target):
+        total = ZERO
+        for f, vec in zip(free, basis):
+            x, y = target[f], vec[i]
+            if not (x.is_zero() or y.is_zero()):
+                total = x * y if total.is_zero() else total + x * y
+        if total != want:
+            return False
+    return True

@@ -28,10 +28,12 @@ Sums and differences share one rule, ``RatFunc._combine``, which takes the
 numerator operation (``Poly.__add__`` or ``Poly.__sub__``) as an argument.
 The polynomial kernels skip known work too: ``Poly.__mul__`` returns the
 other operand when one operand is the unit polynomial, ``Poly.__sub__``
-subtracts in one loop instead of adding a negated copy, and normalization
-reads the sign of a one-term denominator directly instead of searching for
-its graded-lex leading term.  Each gives the same terms in the same order
-as the long way round.
+returns the zero polynomial for two equal term dicts without copying either
+(``RatFunc`` still wraps that zero in a fresh value, never ``ZERO``) and
+otherwise subtracts in one loop instead of adding a negated copy, and
+normalization reads the sign of a one-term denominator directly instead of
+searching for its graded-lex leading term.  Each gives the same terms in
+the same order as the long way round.
 
 A monomial is a six-field tuple, one exponent per entry of SYMBOLS.
 ``Poly.__mul__`` unpacks both monomials of a term product into their six
@@ -128,6 +130,8 @@ class Poly:
         return Poly({mono: -c for mono, c in self.terms.items()})
 
     def __sub__(self, other: "Poly") -> "Poly":
+        if self.terms == other.terms:
+            return _POLY_ZERO
         out = dict(self.terms)
         for mono, c in other.terms.items():
             s = out.get(mono, 0) - c

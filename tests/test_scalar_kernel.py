@@ -307,3 +307,79 @@ def test_one_term_denominator_sign_is_normalized():
         _assert_same(lib, want)
         assert all(c > 0 for c in lib.den.terms.values())
     assert str(ONE / -scalars.sym("q")) == "(-1)/(q)"
+
+
+def test_equal_term_dicts_subtract_to_the_shared_zero_without_a_copy(monkeypatch):
+    def no_copy(*args):
+        raise AssertionError("Poly.__sub__ copied an operand")
+
+    rng = random.Random(9)
+    operands = [_random_terms(rng, rng.randint(0, 5)) for _ in range(40)]
+    # scalars looks dict up as a module global first, so this catches a copy
+    monkeypatch.setattr(scalars, "dict", no_copy, raising=False)
+    for terms in operands:
+        p = Poly(terms)
+        # the same dict, an equal one and one with the terms in reverse order
+        for q in (p, Poly(terms.copy()), Poly({m: terms[m] for m in reversed(terms)})):
+            assert p - q is _POLY_ZERO
+            assert p.terms is terms and q.terms == terms
+    monkeypatch.undo()
+    # equal monomials with one coefficient changed take the loop
+    for terms in operands:
+        if terms:
+            other = {m: c + 1 if i == 0 else c for i, (m, c) in enumerate(terms.items())}
+            want = ref.Poly(dict(terms)) - ref.Poly(dict(other))
+            got = Poly(dict(terms)) - Poly(other)
+            assert got is not _POLY_ZERO
+            assert list(got.terms.items()) == list(want.terms.items())
+
+
+def test_a_value_less_itself_is_a_fresh_zero():
+    # flip21's test relies on K - K being a zero other than the ZERO object
+    k, p = scalars.sym("K"), scalars.sym("p")
+    for x in (k, k * k + 2 * p, ONE / (k + 1), (k - p) / (2 * p + 1), ONE + ONE):
+        twin = RatFunc(Poly(dict(x.num.terms)), Poly(dict(x.den.terms)))
+        for y in (x, twin):
+            z = x - y
+            assert z.is_zero() and z is not scalars.ZERO
+            assert z.num is _POLY_ZERO and z.den is _POLY_ONE
+
+
+def test_equal_values_written_differently_take_the_long_path(monkeypatch):
+    # (K^2 - 1)/(K - 1) and K + 1: no gcd is cancelled, so the difference
+    # cross-multiplies, and only then meets two equal numerators
+    one, k1, k2 = (0,) * NVARS, (1, 0, 0, 0, 0, 0), (2, 0, 0, 0, 0, 0)
+    x = RatFunc(Poly({k2: 1, one: -1}), Poly({k1: 1, one: -1}))
+    y = scalars.sym("K") + 1
+    rx = ref.RatFunc(ref.Poly({k2: Fraction(1), one: Fraction(-1)}),
+                     ref.Poly({k1: Fraction(1), one: Fraction(-1)}))
+    ry = ref.RatFunc(ref.Poly({k1: Fraction(1), one: Fraction(1)}), ref.Poly({one: Fraction(1)}))
+    assert x == y and x.den.terms != y.den.terms
+    products = []
+    real = Poly.__mul__
+
+    def counted(a, b):
+        products.append(1)
+        return real(a, b)
+
+    monkeypatch.setattr(Poly, "__mul__", counted)
+    got = x - y
+    monkeypatch.undo()
+    assert len(products) == 3
+    _assert_same(got, rx - ry)
+
+
+@pytest.mark.parametrize("seed", [10, 11])
+def test_identical_differences_match_fraction_reference(seed):
+    rng = random.Random(seed)
+    pool = ([_random_pair(rng) for _ in range(60)] + [_random_poly_pair(rng) for _ in range(60)]
+            + _edge_pairs())
+    rng.shuffle(pool)
+    for (x, rx), (y, ry) in zip(pool, pool[1:]):
+        twin = RatFunc(Poly(dict(x.num.terms)), Poly(dict(x.den.terms)))
+        for got, want in ((x - x, rx - rx), (x - twin, rx - rx), (x - y, rx - ry),
+                          ((x + y) - (y + x), (rx + ry) - (ry + rx)),
+                          ((x * y) - (y * x), (rx * ry) - (ry * rx)),
+                          (x - (x + y - y), rx - (rx + ry - ry))):
+            _assert_same(got, want)
+            assert got is not scalars.ZERO
