@@ -1,8 +1,9 @@
 """Differential tests of the permutation products that move entries instead of
-multiplying by 0s and 1s: flip21, catalog.build_r, embed12, embed23,
-perm_apply, perm_conjugate and the permutation products of mbe_r_form,
-against the kron and matmul loops kept in ref_pmatrix.py applied to the
-0/1 matrices of perm_operator.
+multiplying by 0s and 1s: flip21, catalog.build_r, perm_apply,
+perm_conjugate and the permutation products of mbe_r_form, against the
+matmul loop kept in ref_pmatrix.py applied to the 0/1 matrices of
+perm_operator (embed12 and embed23 are checked against its kron loop in
+test_pmatrix_kernel.py).
 
 RatFunc is not canonical, so entries are compared term by term, in order,
 not just as values.  Every matrix holds a zero that is not the ZERO object."""
@@ -17,9 +18,9 @@ from test_pmatrix_kernel import NONZERO, _assert_same_terms_in_order
 import mbraid.identities as identities
 from mbraid import pmatrix
 from mbraid.catalog import build_r, build_rhat, deformation, triangular_K
-from mbraid.pmatrix import (DimensionMismatch, ParamMatrix, embed12, embed23, flip21,
-                            perm_apply, perm_conjugate, perm_operator)
-from mbraid.scalars import ONE, ZERO, sym
+from mbraid.pmatrix import (DimensionMismatch, ParamMatrix, flip21, perm_apply,
+                            perm_conjugate, perm_operator)
+from mbraid.scalars import ZERO, sym
 
 K = sym("K")
 DEFORMATIONS = ("pq", "gh", "qh")
@@ -46,9 +47,6 @@ def test_flip21_matches_the_swap_products():
         m = _matrix(rng, 4, 4)
         _assert_same_terms_in_order(flip21(m).data,
                                     ref.matmul(ref.matmul(swap, m), swap).data)
-    for rows, cols in ((2, 2), (4, 2), (8, 8)):
-        with pytest.raises(DimensionMismatch):
-            flip21(ParamMatrix(rows, cols, [ONE] * (rows * cols)))
 
 
 @pytest.mark.parametrize("d", DEFORMATIONS)
@@ -57,17 +55,6 @@ def test_build_r_matches_the_swap_product(d):
     for k in (None, 1, deformation(d).K2, triangular_K(d), K - K):
         rhat = build_rhat(d, k)
         _assert_same_terms_in_order(build_r(d, k).data, ref.matmul(swap, rhat).data)
-
-
-def test_embeddings_match_the_identity_kron():
-    rng = random.Random("embed")
-    ident = ParamMatrix.identity(2)
-    for shape in ((4, 4), (2, 2), (2, 3)):
-        for _ in range(10):
-            r = _matrix(rng, *shape)
-            _assert_same_terms_in_order(embed12(r).data, ref.kron(r, ident).data)
-            _assert_same_terms_in_order(embed23(r).data, ref.kron(ident, r).data)
-            assert (embed12(r).rows, embed12(r).cols) == (2 * shape[0], 2 * shape[1])
 
 
 @pytest.mark.parametrize("sigma", PERMS3)

@@ -83,9 +83,12 @@ def test_kron_matches_dense_loop():
         for shape_a, shape_b in [((2, 2), (4, 4)), ((4, 4), (2, 2)), ((2, 3), (3, 2))]:
             a, b = _random_matrix(rng, *shape_a), _random_matrix(rng, *shape_b)
             _assert_same_terms_in_order(kron(a, b).data, ref.kron(a, b).data)
-        r = _random_matrix(rng, 4, 4)
-        _assert_same_terms_in_order(embed12(r).data, ref.kron(r, ident).data)
-        _assert_same_terms_in_order(embed23(r).data, ref.kron(ident, r).data)
+        for shape in ((4, 4), (2, 3)):
+            r = _random_matrix(rng, *shape)
+            # embed12 and embed23 move entries, zeros that are not ZERO too
+            r.data[rng.randrange(len(r.data))] = K - K
+            _assert_same_terms_in_order(embed12(r).data, ref.kron(r, ident).data)
+            _assert_same_terms_in_order(embed23(r).data, ref.kron(ident, r).data)
 
 
 @pytest.mark.parametrize("shape", [(4, 4), (8, 8), (3, 5)])
