@@ -2,19 +2,40 @@
 check, each taking a deformation id (or None for the contraction suite) and
 returning ``(ok, detail)``.  ``registered_checks`` lists them in the order
 verify prints them.
+
+Two pairs of lines decide one proposition, and each pair reads one verdict,
+decided once per family inside a verify pass (``per_pass``) and afresh
+outside one, whichever line asks first:
+
+- ``_hecke``, Rhat^2 = X Rhat + (1 - X) I, behind ``catalog:hecke`` and
+  ``catalog:projectors``.  The projector line checks P1 + P2 = I and
+  (X - 1) P1 + P2 = Rhat on the matrices ``projectors`` returns; these force
+  P1 = (Rhat - I)/(X - 2) and P2 = I - P1, where X != 2 because
+  ``projectors`` raises DegenerateX there.  Then P1^2 - P1, P2^2 - P2 and
+  -P1 P2 are each the Hecke defect (Rhat - I)(Rhat - (X - 1) I) divided by
+  (X - 2)^2, so they vanish exactly when Hecke holds, and the line forms no
+  matrix product.
+- ``_affine``, Rhat(0) = I and Rhat = Rhat(0) + K (Rhat(1) - Rhat(0)),
+  behind ``catalog:rhat-affine`` and ``identities:baxterization``.  For a
+  Ki != 0, (K/Ki) Rhat(Ki) - (K/Ki - 1) I = Rhat(K) says Rhat = I + K A
+  with A = (Rhat(Ki) - I)/Ki free of K, which is the affine verdict (Jones,
+  Int. J. Mod. Phys. B 4, 1990).  ``identities.baxterization_check`` stays
+  public and still rebuilds Rhat at each braid coupling.
+
+tests/ref_checks.py keeps the old bodies of both lines, and
+tests/test_shared_verdicts.py compares them on 159 mutants of Rhat.
 """
 
 from __future__ import annotations
 
 from .catalog import (DEFORMATIONS, braid_couplings, build_M, build_r,
-                      build_rhat, deformation, hecke_X, kprime, projectors,
-                      triangular_K)
+                      build_rhat, deformation, hecke_X, kprime, per_pass,
+                      projectors, triangular_K)
 from .contraction import (_limit, contract_group_relations, contract_matrix,
                           contract_plane, frame)
 from .identities import (DegenerateValues, _defect_basis, _defect_vanishes,
-                         affine_decomposition, baxterization_check,
-                         braid_values_check, mbe_factor, mbe_r_form,
-                         s_shift_check)
+                         affine_decomposition, braid_values_check, mbe_factor,
+                         mbe_r_form, s_shift_check)
 from .ncalgebra import build_group_system, critical_pairs, termination_order
 from .plane import (MIXED, build_plane_system, phi_commutators, phi_nilpotent,
                     projector_consistency, pure_sector_consistency)
@@ -23,29 +44,38 @@ from .rtt import SpanMismatch, rtt_residual, solve_family
 from .scalars import ONE, substitute, sym, vanishes_at_sqrt
 
 
-def _check_rhat_affine(d):
+@per_pass
+def _affine(d) -> bool:
+    """Rhat(0) = I and Rhat = Rhat(0) + K (Rhat(1) - Rhat(0))."""
     at0 = build_rhat(d, 0)
     slope = build_rhat(d, 1) - at0
-    ok = (at0 == ParamMatrix.identity(4)
-          and build_rhat(d) == at0 + slope.scale(sym("K")))
-    return ok, "Rhat(0) = I and Rhat affine in K"
+    return (at0 == ParamMatrix.identity(4)
+            and build_rhat(d) == at0 + slope.scale(sym("K")))
+
+
+@per_pass
+def _hecke(d) -> bool:
+    """Rhat^2 = X Rhat + (1 - X) I."""
+    rhat = build_rhat(d)
+    x = hecke_X(d)
+    return rhat @ rhat == rhat.scale(x) + ParamMatrix.identity(4).scale(1 - x)
+
+
+def _check_rhat_affine(d):
+    return _affine(d), "Rhat(0) = I and Rhat affine in K"
 
 
 def _check_hecke(d):
-    rhat = build_rhat(d)
-    x = hecke_X(d)
-    ident = ParamMatrix.identity(4)
-    ok = rhat @ rhat == rhat.scale(x) + ident.scale(1 - x)
-    return ok, "Rhat^2 = X Rhat + (1 - X) I"
+    return _hecke(d), "Rhat^2 = X Rhat + (1 - X) I"
 
 
 def _check_projectors(d):
+    # the two linear identities force P1 = (Rhat - I)/(X - 2) and P2 = I - P1;
+    # then P1^2 - P1, P2^2 - P2 and -P1 P2 are each the Hecke defect / (X - 2)^2
     p1, p2 = projectors(d)
-    ident = ParamMatrix.identity(4)
-    x = hecke_X(d)
-    ok = (p1 @ p1 == p1 and p2 @ p2 == p2
-          and (p1 @ p2).is_zero() and p1 + p2 == ident
-          and build_rhat(d) == p1.scale(x - 1) + p2)
+    ok = (p1 + p2 == ParamMatrix.identity(4)
+          and build_rhat(d) == p1.scale(hecke_X(d) - 1) + p2
+          and _hecke(d))
     return ok, "idempotent, orthogonal, complete; Rhat = (X-1)P1 + P2"
 
 
@@ -114,7 +144,8 @@ def _check_s_shift(d):
 
 
 def _check_baxterization(d):
-    return baxterization_check(d), "affine family through both braid couplings"
+    # (K/Ki) Rhat(Ki) - (K/Ki - 1) I = Rhat(K) for a Ki != 0 says Rhat = I + K A
+    return _affine(d), "affine family through both braid couplings"
 
 
 def _check_pure_sectors(d):

@@ -27,7 +27,7 @@ from .ncalgebra import GROUP, PLANE, NCPoly, StepCapExceeded, normal_order
 from .plane import MIXED, build_plane_system, build_pure_system
 from .rtt import SpanMismatch, solve_family
 from .scalars import (ONE, SYMBOLS, ZERO, DivisionByZero, Poly, RatFunc,
-                      UnknownSymbolError, substitute, sym)
+                      UnknownSymbolError, as_ratfunc, substitute, sym)
 
 NONCOMMUTING = GROUP + PLANE
 _PARAMETERS = ("p", "q", "g", "h")  # bound by scan --p/--q/--g/--h
@@ -296,6 +296,10 @@ def run_scan(d, bindings, kmin, kmax, steps: int, out: str) -> list:
         raise ValueError(f"steps must be between 2 and {MAX_SCAN_STEPS}")
     spec = deformation(d)
     bindings = dict(bindings)
+    for name, v in bindings.items():  # once, not once per entry of Rhat
+        scalar = as_ratfunc(v)
+        if scalar is not None:  # substitute refuses the rest
+            bindings[name] = scalar
     rhat = build_rhat(spec).map(lambda e: substitute(e, bindings))
     defect = _defect_at(_split_defect(rhat, spec.id), ONE, sym("K"), ZERO)
     f = sum((e * e for e in defect.data), ZERO)

@@ -11,7 +11,8 @@ not canonical, and the order of a sum can change how it is written.
 
 Elimination (inverse, rank, nullspace) is plain Gauss-Jordan with the first
 nonzero entry as pivot, scanning top to bottom; division is exact, and the
-fixed pivot rule keeps every result deterministic.
+fixed pivot rule keeps every result deterministic.  The pivot column of each
+eliminated row is written ZERO, not computed as f - f (e/e).
 
 Permutations of tensor factors and identity Kronecker factors move entries
 instead of multiplying by 0s and 1s.  perm_apply(sigma, m) is
@@ -244,11 +245,13 @@ def _rref(m: ParamMatrix):
         work[r], work[pivot_row] = work[pivot_row], work[r]
         inv = work[r][c].inverse()
         pivot = work[r] = [e if e.is_zero() else inv * e for e in work[r]]
-        nonzero = [j for j, e in enumerate(pivot) if not e.is_zero()]
+        # column c of an eliminated row is f - f (e/e) = 0 exactly: write ZERO
+        nonzero = [j for j, e in enumerate(pivot) if j != c and not e.is_zero()]
         for i in range(m.rows):
             f = work[i][c]
             if i != r and not f.is_zero():
                 row = work[i]
+                row[c] = ZERO
                 for j in nonzero:
                     e = row[j]
                     row[j] = -(f * pivot[j]) if e.is_zero() else e - f * pivot[j]

@@ -288,11 +288,16 @@ def test_verify_all_checks_pass():
     assert lines[-1] == f"{total}/{total} checks passed"
 
 
-def test_verify_scope_filters_checks():
+@pytest.mark.parametrize("scope", cli._scopes(registered_checks())[1:])
+def test_verify_scope_filters_checks(scope):
+    # a scoped run decides every verdict its lines share with a line outside
+    # it, such as the affine one behind identities:baxterization
+    golden = Path(__file__).parent / "golden" / "verify.txt"
+    want = [line for line in golden.read_text(encoding="utf-8").splitlines()
+            if line.split()[1].startswith(f"{scope}:")]
     buf = io.StringIO()
-    assert run_verify("plane", stream=buf) == 0
-    body = buf.getvalue().splitlines()[:-1]
-    assert body and all(" plane:" in line for line in body)
+    assert run_verify(scope, stream=buf) == 0
+    assert buf.getvalue().splitlines() == want + [f"{len(want)}/{len(want)} checks passed"]
 
 
 def test_verify_json_schema():

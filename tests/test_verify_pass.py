@@ -2,12 +2,15 @@
 per family at symbolic K, and nothing is shared outside a pass.
 
 The count test patches functions the way test_mutation.py does, in every
-``mbraid`` module that imported them by name.  The immutability guard runs
+``mbraid`` module that imported them by name, counts matrix products on the
+class, and counts the bodies of the @per_pass ``build_rhat`` with a profile
+hook on its code object.  The immutability guard runs
 every registered check inside one pass and requires each shared object to
 print as it did before.
 """
 
 import io
+import sys
 
 import pytest
 from test_mutation import _patch_everywhere
@@ -79,10 +82,26 @@ def test_one_verify_pass_builds_each_family_once(monkeypatch):
     _patch_everywhere(monkeypatch, pmatrix, "embed12", _counting(counts, "embed12"))
     _patch_everywhere(monkeypatch, plane, "_projector_constraints",
                       _counting(counts, "_projector_constraints"))
-    assert run_verify("all", stream=io.StringIO()) == 0
+    monkeypatch.setattr(pmatrix.ParamMatrix, "__matmul__",
+                        _counting(counts, "matmul")(pmatrix.ParamMatrix.__matmul__))
+    body = build_rhat.__wrapped__.__code__
+
+    def profile(frame, event, _):
+        if event == "call" and frame.f_code is body:
+            counts["build_rhat"] = counts.get("build_rhat", 0) + 1
+
+    sys.setprofile(profile)
+    try:
+        assert run_verify("all", stream=io.StringIO()) == 0
+    finally:
+        sys.setprofile(None)
     # embed12: two K-powers per family in _defect_coefficients, one in mbe_r_form;
-    # projector constraints: three pure sectors (qh shared by two lines), two mixed
-    assert counts == {"embed12": 9, "_projector_constraints": 5}
+    # projector constraints: three pure sectors (qh shared by two lines), two mixed;
+    # matmul: one Hecke square per family, shared by hecke and projectors;
+    # build_rhat: the affine decision's K = 0 and K = 1 once per family, shared
+    # by rhat-affine and baxterization
+    assert counts == {"embed12": 9, "_projector_constraints": 5,
+                      "matmul": 38, "build_rhat": 20}
 
 
 def _printed(obj) -> str:
