@@ -304,7 +304,10 @@ def affine_decomposition(d):
 
 def baxterization_check(d, k=None) -> bool:
     """Rhat(K) = (K/Ki) Rhat(Ki) - (K/Ki - 1) I at each distinct degeneracy
-    point."""
+    point.  This is the public form, which rebuilds Rhat at each braid
+    coupling; no command calls it.  verify's identities:baxterization line
+    reads the shared checks._affine verdict instead: for a Ki != 0 the
+    identity holds exactly when Rhat = I + K A with A free of K."""
     spec = deformation(d)
     k = _coupling(k)
     rhat = build_rhat(spec, k)

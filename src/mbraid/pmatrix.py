@@ -2,17 +2,21 @@
 
 Data is a flat row-major list and instances are treated as immutable.
 
-Storage is dense, but products, Kronecker products, elimination, sums,
-differences and scaling visit only nonzero entries, in the order of the plain
-dense loops.  A skipped operation has a zero operand, whose result RatFunc's
-fast paths already know (0 * x = 0, x + 0 = x, 0 - x = -x), so
-every entry comes out representation-identical, not just equal: RatFunc is
-not canonical, and the order of a sum can change how it is written.
+Storage is dense, but products, Kronecker products, sums, differences and
+scaling visit only nonzero entries, in the order of the plain dense loops.
+A skipped operation has a zero operand, whose result RatFunc's fast paths
+already know (0 * x = 0, x + 0 = x, 0 - x = -x), so every entry comes out
+representation-identical, not just equal: RatFunc is not canonical, and the
+order of a sum can change how it is written.
 
-Elimination (inverse, rank, nullspace) is plain Gauss-Jordan with the first
-nonzero entry as pivot, scanning top to bottom; division is exact, and the
-fixed pivot rule keeps every result deterministic.  The pivot column of each
-eliminated row is written ZERO, not computed as f - f (e/e).
+Elimination is plain Gauss-Jordan on sparse rows, {column: entry} dicts of
+the nonzero entries, with the first nonzero entry as pivot, scanning top to
+bottom; division is exact, and the fixed pivot rule keeps every result
+deterministic.  The pivot column of each eliminated row is dropped, not
+computed as f - f (e/e), and an entry that cancels is deleted.  rank,
+inverse and nullspace convert their matrix to rows once; rtt.solve_family
+hands its rows to _nullspace directly.  Entries come out as the dense loop
+in tests/ref_pmatrix.py writes them.
 
 Permutations of tensor factors and identity Kronecker factors move entries
 instead of multiplying by 0s and 1s.  perm_apply(sigma, m) is
@@ -229,67 +233,85 @@ def flip21(m: ParamMatrix) -> ParamMatrix:
     return perm_conjugate((2, 1), m)
 
 
-def _rref(m: ParamMatrix):
-    """Reduced row echelon form; returns (rows, pivot column list)."""
-    work = [list(m.row(i)) for i in range(m.rows)]
+def _sparse_rows(m: ParamMatrix) -> list:
+    """The rows of m as {column: entry} dicts of its nonzero entries."""
+    return [{j: e for j, e in enumerate(m.row(i)) if not e.is_zero()} for i in range(m.rows)]
+
+
+def _rref(work: list, cols: int) -> list:
+    """Reduce the rows of work, {column: entry} dicts holding only nonzero
+    entries, to reduced row echelon form in place; returns the pivot columns.
+
+    An entry that cancels is deleted, so a column is in a row exactly when
+    the row's entry there is nonzero.  The pivot is the first row, from the
+    current one down, that holds the column; the column is popped from every
+    other row, which is f - f (e/e) = 0 exactly, and the row's multiplier f
+    is negated once for the update e + (-f) p of each other pivot-row entry."""
     pivots = []
     r = 0
-    for c in range(m.cols):
-        pivot_row = None
-        for i in range(r, m.rows):
-            if not work[i][c].is_zero():
-                pivot_row = i
-                break
+    for c in range(cols):
+        pivot_row = next((i for i in range(r, len(work)) if c in work[i]), None)
         if pivot_row is None:
             continue
         work[r], work[pivot_row] = work[pivot_row], work[r]
         inv = work[r][c].inverse()
-        pivot = work[r] = [e if e.is_zero() else inv * e for e in work[r]]
-        # column c of an eliminated row is f - f (e/e) = 0 exactly: write ZERO
-        nonzero = [j for j, e in enumerate(pivot) if j != c and not e.is_zero()]
-        for i in range(m.rows):
-            f = work[i][c]
-            if i != r and not f.is_zero():
-                row = work[i]
-                row[c] = ZERO
-                for j in nonzero:
-                    e = row[j]
-                    row[j] = -(f * pivot[j]) if e.is_zero() else e - f * pivot[j]
+        pivot = work[r] = {j: inv * e for j, e in work[r].items()}
+        others = [(j, e) for j, e in pivot.items() if j != c]
+        for i, row in enumerate(work):
+            if i == r or c not in row:
+                continue
+            g = -row.pop(c)
+            for j, p in others:
+                e = row.get(j)
+                if e is None:
+                    row[j] = g * p
+                else:
+                    e = e + g * p
+                    if e.is_zero():
+                        del row[j]
+                    else:
+                        row[j] = e
         pivots.append(c)
         r += 1
-        if r == m.rows:
+        if r == len(work):
             break
-    return work, pivots
+    return pivots
 
 
 def rank(m: ParamMatrix) -> int:
-    _, pivots = _rref(m)
-    return len(pivots)
+    return len(_rref(_sparse_rows(m), m.cols))
 
 
-def nullspace(m: ParamMatrix, with_free: bool = False):
-    """Basis of the right nullspace, one vector (a plain list) per free column
-    f: 1 at f, 0 at every other free column.  The fixed pivot rule makes the
-    basis deterministic.  with_free=True returns (free columns, basis)."""
-    work, pivots = _rref(m)
-    free = [c for c in range(m.cols) if c not in pivots]
+def _nullspace(rows: list, cols: int):
+    """(free columns, basis) of the right nullspace of the rows, {column:
+    entry} dicts as _rref takes them and reduces in place: one vector (a
+    plain list) per free column f, 1 at f and 0 at every other free column.
+    The fixed pivot rule makes the basis deterministic."""
+    pivots = _rref(rows, cols)
+    free = [c for c in range(cols) if c not in pivots]
     basis = []
     for f in free:
-        v = [ZERO] * m.cols
+        v = [ZERO] * cols
         v[f] = ONE
-        for i, pc in enumerate(pivots):
-            v[pc] = -work[i][f]
+        for row, pc in zip(rows, pivots):
+            if f in row:
+                v[pc] = -row[f]
         basis.append(v)
-    return (free, basis) if with_free else basis
+    return free, basis
+
+
+def nullspace(m: ParamMatrix) -> list:
+    """Basis of the right nullspace, as _nullspace builds it."""
+    return _nullspace(_sparse_rows(m), m.cols)[1]
 
 
 def inverse(m: ParamMatrix) -> ParamMatrix:
     if m.rows != m.cols:
         raise DimensionMismatch("inverse of a non-square matrix")
     n = m.rows
-    ident = ParamMatrix.identity(n)
-    aug = ParamMatrix(n, 2 * n, [e for i in range(n) for e in m.row(i) + ident.row(i)])
-    work, pivots = _rref(aug)
-    if pivots != list(range(n)):
+    work = _sparse_rows(m)
+    for i, row in enumerate(work):
+        row[n + i] = ONE
+    if _rref(work, 2 * n) != list(range(n)):
         raise Singular("matrix is not invertible")
-    return ParamMatrix(n, n, [work[i][n + j] for i in range(n) for j in range(n)])
+    return ParamMatrix(n, n, [row.get(n + j, ZERO) for row in work for j in range(n)])

@@ -7,30 +7,33 @@ R.(T1 T2) - (T2 T1).R is the sum over mid = (mn) of
     R[(ik), (mn)] T[m,j] T[n,l] - R[(mn), (jl)] T[k,n] T[i,m]
 
 _EXCHANGE lists the eight terms of each cell as (index of R, sign, word); both
-routes read it.  assemble() normal-orders each of the 16 quadratic words once
-and adds its normal form into the rows of the linear system, one row per (cell,
-normal word), dropping rows that cancel to zero.  rtt_residual instead
-normal-orders each cell of one given R; rtt:residual uses it, so the two RTT
-checks reach their answers by different routes.  Both store the first term of a
-sum, c or -c, as it is, which is what 0 + c and 0 - c return.  Oracles:
-tests/ref_rtt.py for assemble, tests/test_rtt_exchange.py (T1 T2 and T2 T1
-built without the table) for rtt_residual.  solve_family returns the nullspace
-reshaped to 4x4.  It eliminates the rows sparsest first (a stable sort on the
-count of nonzero entries), so the rows with a single entry clear their
-columns before any longer row is touched; a reduced echelon form does not
-depend on the order of the rows, so neither do the basis values.  Each basis
-vector is 1 at its free column and 0 at the other free columns, so R lies in
-the span exactly when R = sum over the free columns f of R[f] times vector
-f, which is checked entry by entry; tests/ref_rtt.py keeps the rank
-comparison this replaced.
+routes read it.  _rows() normal-orders each of the 16 quadratic words once,
+negates each normal form once, and adds it into the rows of the linear
+system: one {column: entry} dict per (cell, normal word), in sorted (cell,
+word) order, an entry that cancels deleted and a row left empty dropped.
+assemble() is those rows written out as a 16-column ParamMatrix.
+rtt_residual instead normal-orders each cell of one given R; rtt:residual
+uses it, so the two RTT checks reach their answers by different routes.  Both
+store the first term of a sum, c or -c, as it is, which is what 0 + c and
+0 - c return.  Oracles: tests/ref_rtt.py for assemble and solve_family,
+tests/test_rtt_exchange.py (T1 T2 and T2 T1 built without the table) for
+rtt_residual.  solve_family hands the row dicts straight to the sparse
+elimination and returns the nullspace reshaped to 4x4.  It eliminates the
+rows sparsest first (a stable sort on the length of each dict, its count of
+nonzero entries), so the rows with a single entry clear their columns before
+any longer row is touched; a reduced echelon form does not depend on the
+order of the rows, so neither do the basis values.  Each basis vector is 1
+at its free column and 0 at the other free columns, so R lies in the span
+exactly when R = sum over the free columns f of R[f] times vector f, which
+is checked entry by entry; tests/ref_rtt.py keeps the rank comparison this
+replaced.
 """
 
 from __future__ import annotations
 
 from .catalog import build_r, deformation
 from .ncalgebra import NCPoly, RewriteSystem, build_group_system, normal_order
-from .pmatrix import ParamMatrix
-from .pmatrix import nullspace as _nullspace
+from .pmatrix import ParamMatrix, _nullspace
 from .scalars import ONE, ZERO
 
 
@@ -66,38 +69,45 @@ def rtt_residual(r: ParamMatrix, system: RewriteSystem) -> list:
     return [cells[4 * row:4 * row + 4] for row in range(4)]
 
 
-def assemble(d) -> ParamMatrix:
-    """Linear system over the 16 entries of R, one row per (cell, word)."""
+def _rows(d) -> list:
+    """The linear system over the 16 entries of R: one {column: entry} dict of
+    nonzero entries per (cell, word), in sorted (cell, word) order, rows that
+    cancel to zero left out."""
     system = build_group_system(d)
     forms: dict = {}
     rows: dict = {}
     for cell, terms in enumerate(_EXCHANGE):
         for index, sign, word in terms:
             if word not in forms:
-                forms[word] = normal_order(NCPoly({word: ONE}), system)
-            for w, c in forms[word].coeffs.items():
-                line = rows.setdefault((cell, w), [ZERO] * 16)
-                prev = line[index]
-                if prev.is_zero():
-                    line[index] = c if sign > 0 else -c
+                coeffs = normal_order(NCPoly({word: ONE}), system).coeffs
+                forms[word] = {1: list(coeffs.items()),
+                               -1: [(w, -c) for w, c in coeffs.items()]}
+            for w, c in forms[word][sign]:
+                line = rows.setdefault((cell, w), {})
+                prev = line.get(index)
+                if prev is None:
+                    line[index] = c
+                elif (total := prev + c).is_zero():
+                    del line[index]
                 else:
-                    line[index] = prev + c if sign > 0 else prev - c
-    kept = [key for key in sorted(rows) if not all(e.is_zero() for e in rows[key])]
-    return ParamMatrix(len(kept), 16, [e for key in kept for e in rows[key]])
+                    line[index] = total
+    return [rows[key] for key in sorted(rows) if rows[key]]
+
+
+def assemble(d) -> ParamMatrix:
+    """Linear system over the 16 entries of R, one row per (cell, word)."""
+    rows = _rows(d)
+    return ParamMatrix(len(rows), 16, [row.get(j, ZERO) for row in rows for j in range(16)])
 
 
 def solve_family(d) -> list:
     """Nullspace of the assembled system as 4x4 matrices.  Raises SpanMismatch
     if the catalog family R(K) does not lie in the solved span."""
     spec = deformation(d)
-    system = assemble(spec)
-    rows = sorted((system.row(i) for i in range(system.rows)),
-                  key=lambda row: sum(not e.is_zero() for e in row))
-    free, basis = _nullspace(ParamMatrix(system.rows, 16, [e for row in rows for e in row]),
-                             with_free=True)
+    free, basis = _nullspace(sorted(_rows(spec), key=len), 16)
     if not _in_span(free, basis, build_r(spec).data):
         raise SpanMismatch(f"{spec.id}: catalog matrix outside the solution span")
-    return [ParamMatrix(4, 4, list(vec)) for vec in basis]
+    return [ParamMatrix(4, 4, vec) for vec in basis]
 
 
 def _in_span(free: list, basis: list, target: list) -> bool:

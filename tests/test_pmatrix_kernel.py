@@ -11,7 +11,8 @@ from fractions import Fraction
 import pytest
 import ref_pmatrix as ref
 
-from mbraid.pmatrix import ParamMatrix, _rref, embed12, embed23, kron, nullspace, rank
+from mbraid.pmatrix import (ParamMatrix, _nullspace, _rref, _sparse_rows, embed12, embed23,
+                            kron, nullspace, rank)
 from mbraid.scalars import ONE, ZERO, Poly, RatFunc, const, sym
 
 K, P, Q = sym("K"), sym("p"), sym("q")
@@ -105,6 +106,19 @@ def test_entrywise_operations_match_dense_loops(shape):
             _assert_same_terms_in_order(a.scale(s).data, ref.scale(a, s).data)
 
 
+def _assert_same_elimination(m):
+    """_rref on the rows of m reduces them to the dense loop's work rows,
+    compared densified, with the same pivots."""
+    work = _sparse_rows(m)
+    pivots = _rref(work, m.cols)
+    want_work, want_pivots = ref._rref(m)
+    assert pivots == want_pivots
+    assert len(work) == len(want_work)
+    for row, want_row in zip(work, want_work):
+        _assert_same_terms_in_order([row.get(j, ZERO) for j in range(m.cols)], want_row)
+    return pivots
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_elimination_matches_dense_loop(seed):
     rng = random.Random(f"rref:{seed}")
@@ -114,13 +128,52 @@ def test_elimination_matches_dense_loop(seed):
     for i in range(m.rows):
         m.data[i * 5 + 3] = m[i, 0] * v + m[i, 1]
         m.data[i * 5 + 4] = m[i, 2] * w - m[i, 0]
-    work, pivots = _rref(m)
-    want_work, want_pivots = ref._rref(m)
-    assert pivots == want_pivots
-    for row, want_row in zip(work, want_work):
-        _assert_same_terms_in_order(row, want_row)
+    _assert_same_elimination(m)
     assert rank(m) == ref.rank(m) <= 3
     basis, want_basis = nullspace(m), ref.nullspace(m)
     assert len(basis) == len(want_basis) >= 2
     for vec, want_vec in zip(basis, want_basis):
         _assert_same_terms_in_order(vec, want_vec)
+
+
+def _tall_sparse(rng, n):
+    """n rows over 7 columns shaped like the RTT system: single-entry rows,
+    exact and negated copies of earlier rows and all-zero rows among random
+    ones.  Columns 4 and 5 are combinations of columns 0-2 in every row, so
+    the nullspace keeps at least two vectors."""
+    v, w = rng.choice(ELIMINATION), rng.choice(ELIMINATION)
+    rows = []
+    for _ in range(n):
+        kind = rng.random()
+        if kind < 0.4:
+            row = [ZERO] * 7
+            row[rng.choice((3, 6))] = rng.choice(ELIMINATION)
+        elif kind < 0.55 and rows:
+            row = list(rng.choice(rows))
+        elif kind < 0.7 and rows:
+            row = [-e for e in rng.choice(rows)]
+        elif kind < 0.75:
+            row = [ZERO] * 7
+        else:
+            row = [_entry(rng, ELIMINATION) for _ in range(7)]
+            row[3] = ZERO
+            row[4] = row[0] * v + row[1]
+            row[5] = row[2] * w - row[0]
+        rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_elimination_of_tall_sparse_rows_matches_dense_loop(seed):
+    rng = random.Random(f"tall:{seed}")
+    rows = _tall_sparse(rng, 30)
+    # as built, and sparsest first as rtt.solve_family hands its rows over
+    for order in (rows, sorted(rows, key=lambda row: sum(not e.is_zero() for e in row))):
+        m = ParamMatrix.from_rows(order)
+        pivots = _assert_same_elimination(m)
+        free, basis = _nullspace(_sparse_rows(m), m.cols)
+        want_basis = ref.nullspace(m)
+        assert free == [c for c in range(m.cols) if c not in pivots]
+        assert len(basis) == len(want_basis) >= 2
+        for vec, want_vec in zip(basis, want_basis):
+            _assert_same_terms_in_order(vec, want_vec)

@@ -4,7 +4,9 @@ per family at symbolic K, and nothing is shared outside a pass.
 The count test patches functions the way test_mutation.py does, in every
 ``mbraid`` module that imported them by name, counts matrix products on the
 class, and counts the bodies of the @per_pass ``build_rhat`` with a profile
-hook on its code object.  The immutability guard runs
+hook on its code object.  The sparse-row test records the width of every
+ParamMatrix and the words that rtt._rows normal-orders.  The immutability
+guard runs
 every registered check inside one pass and requires each shared object to
 print as it did before.
 """
@@ -15,8 +17,10 @@ import sys
 import pytest
 from test_mutation import _patch_everywhere
 
-import mbraid.pmatrix as pmatrix
+import mbraid.ncalgebra as ncalgebra
 import mbraid.plane as plane
+import mbraid.pmatrix as pmatrix
+import mbraid.rtt as rtt
 from mbraid.catalog import (DEFORMATIONS, build_r, build_rhat, hecke_X,
                             projectors, verify_pass)
 from mbraid.checks import registered_checks
@@ -102,6 +106,29 @@ def test_one_verify_pass_builds_each_family_once(monkeypatch):
     # by rhat-affine and baxterization
     assert counts == {"embed12": 9, "_projector_constraints": 5,
                       "matmul": 38, "build_rhat": 20}
+
+
+def test_one_verify_pass_solves_the_rtt_system_on_sparse_rows(monkeypatch):
+    # no 16-column ParamMatrix on the way from the exchange words to the
+    # span, and each family's 16 words normal-ordered once, by rtt._rows
+    widths, words = [], []
+    init = pmatrix.ParamMatrix.__init__
+
+    def recording_init(self, rows, cols, data):
+        widths.append(cols)
+        init(self, rows, cols, data)
+
+    def normal_order(p, system):
+        if sys._getframe(1).f_code is rtt._rows.__code__:
+            words.append((system.name, *p.coeffs))
+        return ncalgebra.normal_order(p, system)
+
+    monkeypatch.setattr(pmatrix.ParamMatrix, "__init__", recording_init)
+    monkeypatch.setattr(rtt, "normal_order", normal_order)
+    assert run_verify("all", stream=io.StringIO()) == 0
+    assert widths and 16 not in widths
+    assert len(words) == len(set(words)) == 16 * len(DEFORMATIONS)
+    assert {name for name, _ in words} == {build_group_system(d).name for d in DEFORMATIONS}
 
 
 def _printed(obj) -> str:

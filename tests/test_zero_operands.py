@@ -49,7 +49,7 @@ def test_accumulators_take_their_first_write_directly(monkeypatch, tmp_path):
     residual builders and the scan call, so they run here too; each site must
     be reached, or its guard would check nothing."""
     sites = {f.__code__: f.__qualname__ for f in (
-        rtt.assemble, rtt.rtt_residual, rtt._in_span, identities._defect_at,
+        rtt._rows, rtt.rtt_residual, rtt._in_span, identities._defect_at,
         identities._defect_basis.__wrapped__, identities._defect_vanishes,
         identities._lam_divides, pmatrix._rref)}
     operated, reached = Counter(), Counter()
