@@ -53,11 +53,15 @@ _defect_at builds the defect matrix itself, a^2 E1 + a E2 + E3 - lam E1 at a
 coupling, for braid_residual, mbe_residual and cli.run_scan, which applies
 _split_defect to its parameter-bound Rhat.  It adds w * y only at the nonzero
 entries y of each coefficient matrix and an entry's first write stores w * y
-itself, so every entry is written as the dense sum writes it.  mbe_r_form
-keeps both full symbolic triple products of R = P.Rhat, so it is an
-independent cross-check that the split loses nothing; only its products
-with permutation operators (R13 and the two cycles) move entries instead
-(pmatrix.perm_conjugate and pmatrix.perm_apply).
+itself, so every entry is written as the dense sum writes it.
+
+mbe_r_form forms both full symbolic triple products of R = P.Rhat; only its
+products with permutation operators (R13 and the two cycles) move entries
+(pmatrix.perm_conjugate and pmatrix.perm_apply).  It restates the MBE rather
+than checking it independently: for any 4x4 Rhat and scalar lam the R-form
+defect is -P13 times the Rhat-form defect, P13 = perm_operator((3, 2, 1)),
+so one vanishes exactly when the other does.  No command calls it; verify's
+identities:mbe-r-form line reads the mbe verdict (checks._mbe).
 """
 
 from __future__ import annotations
@@ -208,7 +212,11 @@ def mbe_r_form(d) -> ParamMatrix:
 
     with R13 the conjugate of R12 by the (2 3) factor swap and the cycles in
     one-line notation (123) = (2,3,1), (132) = (3,1,2); both permutations
-    move entries rather than multiply.  Returns lhs - rhs.
+    move entries rather than multiply.  Returns lhs - rhs, which is
+    -P13 (B(K) - lam (Rhat12 - Rhat23)) for P13 = perm_operator((3, 2, 1)),
+    mbe_residual moved by an invertible permutation, so it vanishes exactly
+    when the MBE holds.  No command calls it: verify's identities:mbe-r-form
+    line reads the mbe verdict (checks._mbe).
     """
     r = build_r(d)
     r12 = embed12(r)

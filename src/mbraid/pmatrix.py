@@ -246,7 +246,8 @@ def _rref(work: list, cols: int) -> list:
     the row's entry there is nonzero.  The pivot is the first row, from the
     current one down, that holds the column; the column is popped from every
     other row, which is f - f (e/e) = 0 exactly, and the row's multiplier f
-    is negated once for the update e + (-f) p of each other pivot-row entry."""
+    is negated once for the update e + (-f) p of each other pivot-row entry.
+    A pivot row with no other entry updates nothing, so f is dropped as is."""
     pivots = []
     r = 0
     for c in range(cols):
@@ -259,6 +260,9 @@ def _rref(work: list, cols: int) -> list:
         others = [(j, e) for j, e in pivot.items() if j != c]
         for i, row in enumerate(work):
             if i == r or c not in row:
+                continue
+            if not others:
+                del row[c]
                 continue
             g = -row.pop(c)
             for j, p in others:

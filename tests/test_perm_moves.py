@@ -75,15 +75,16 @@ def test_permutations_match_the_operator_products(sigma):
         perm_apply((1, 1, 2), ParamMatrix.identity(8))
 
 
-def _mbe_r_form_by_products(d, r):
-    """mbe_r_form of r with every product a dense loop over 0/1 matrices."""
+def _mbe_r_form_by_products(r, lam):
+    """mbe_r_form of r and the scalar lam with every product a dense loop
+    over 0/1 matrices."""
     ident = ParamMatrix.identity(2)
     r12, r23 = ref.kron(r, ident), ref.kron(ident, r)
     r13 = _conjugated(perm_operator((1, 3, 2)), r12)
     lhs = ref.sub(ref.matmul(ref.matmul(r12, r13), r23), ref.matmul(ref.matmul(r23, r13), r12))
     rhs = ref.sub(ref.matmul(perm_operator((3, 1, 2)), r23),
                   ref.matmul(perm_operator((2, 3, 1)), r12))
-    return ref.sub(lhs, ref.scale(rhs, identities.mbe_factor(d)))
+    return ref.sub(lhs, ref.scale(rhs, lam))
 
 
 @pytest.mark.parametrize("d", DEFORMATIONS)
@@ -101,7 +102,8 @@ def test_mbe_r_form_keeps_both_triple_products(monkeypatch, d):
     assert operands == [(8, 8)] * 4
     monkeypatch.undo()
     assert got.is_zero()
-    _assert_same_terms_in_order(got.data, _mbe_r_form_by_products(d, build_r(d)).data)
+    want = _mbe_r_form_by_products(build_r(d), identities.mbe_factor(d))
+    _assert_same_terms_in_order(got.data, want.data)
 
 
 def test_a_shifted_r_fails_mbe_r_form(monkeypatch):
@@ -113,4 +115,5 @@ def test_a_shifted_r_fails_mbe_r_form(monkeypatch):
     monkeypatch.setattr(identities, "build_r", lambda d, k=None: shifted)
     got = identities.mbe_r_form("pq")
     assert not got.is_zero()
-    _assert_same_terms_in_order(got.data, _mbe_r_form_by_products("pq", shifted).data)
+    want = _mbe_r_form_by_products(shifted, identities.mbe_factor("pq"))
+    _assert_same_terms_in_order(got.data, want.data)

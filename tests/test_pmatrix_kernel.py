@@ -6,13 +6,16 @@ how a sum is written.  Every entry must therefore match the reference
 representation for representation, not just as a value."""
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 import ref_pmatrix as ref
 
+from mbraid.catalog import DEFORMATIONS
 from mbraid.pmatrix import (ParamMatrix, _nullspace, _rref, _sparse_rows, embed12, embed23,
                             kron, nullspace, rank)
+from mbraid.rtt import solve_family
 from mbraid.scalars import ONE, ZERO, Poly, RatFunc, const, sym
 
 K, P, Q = sym("K"), sym("p"), sym("q")
@@ -177,3 +180,28 @@ def test_elimination_of_tall_sparse_rows_matches_dense_loop(seed):
         assert len(basis) == len(want_basis) >= 2
         for vec, want_vec in zip(basis, want_basis):
             _assert_same_terms_in_order(vec, want_vec)
+
+
+def test_elimination_of_the_rtt_systems_negates_only_multipliers_it_uses(monkeypatch):
+    # a pivot row with no other entry updates nothing, so every entry _rref
+    # negates must be the left factor of a product _rref forms
+    negated, used = [], set()
+    real_neg, real_mul = RatFunc.__neg__, RatFunc.__mul__
+
+    def neg(self):
+        out = real_neg(self)
+        if sys._getframe(1).f_code is _rref.__code__:
+            negated.append(out)  # kept alive, so no id is reused
+        return out
+
+    def mul(self, other):
+        if sys._getframe(1).f_code is _rref.__code__:
+            used.add(id(self))
+        return real_mul(self, other)
+
+    monkeypatch.setattr(RatFunc, "__neg__", neg)
+    monkeypatch.setattr(RatFunc, "__mul__", mul)
+    for d in DEFORMATIONS:
+        assert len(solve_family(d)) == 2
+    assert negated
+    assert [g for g in negated if id(g) not in used] == []

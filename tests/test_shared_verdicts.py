@@ -1,7 +1,8 @@
-"""catalog:projectors and identities:baxterization read the verdicts that
-catalog:hecke and catalog:rhat-affine decide, once per family in a pass.
+"""catalog:projectors, identities:baxterization and identities:mbe-r-form
+read the verdicts that catalog:hecke, catalog:rhat-affine and identities:mbe
+decide, once per family in a pass.
 
-Each of the two lines is compared with its old body, kept in
+Each of the three lines is compared with its old body, kept in
 tests/ref_checks.py, under 159 mutants: the 144 single-entry Rhat mutants
 (+ q K, + K^2 and + 1 on each entry of each family), on the mutated family,
 and the 15 mutants of tests/test_mutation.py, on every family.  The line
@@ -32,6 +33,8 @@ LINES = {
                    ref_checks.check_projectors),
     "baxterization": (checks._check_baxterization, checks._check_rhat_affine,
                       ref_checks.check_baxterization),
+    "mbe-r-form": (checks._check_mbe_r_form, checks._check_mbe,
+                   ref_checks.check_mbe_r_form),
 }
 
 
@@ -80,7 +83,8 @@ def _sweep(line, mutants):
     return mismatches, fails
 
 
-@pytest.mark.parametrize("line, sweep_fails", [("projectors", 141), ("baxterization", 96)])
+@pytest.mark.parametrize("line, sweep_fails", [("projectors", 141), ("baxterization", 96),
+                                               ("mbe-r-form", 141)])
 def test_line_matches_its_old_body_on_every_mutant(line, sweep_fails):
     mismatches, fails = _sweep(line, SWEEP)
     assert mismatches == []

@@ -17,6 +17,7 @@ import sys
 import pytest
 from test_mutation import _patch_everywhere
 
+import mbraid.identities as identities
 import mbraid.ncalgebra as ncalgebra
 import mbraid.plane as plane
 import mbraid.pmatrix as pmatrix
@@ -84,6 +85,7 @@ def _counting(counts, name):
 def test_one_verify_pass_builds_each_family_once(monkeypatch):
     counts: dict = {}
     _patch_everywhere(monkeypatch, pmatrix, "embed12", _counting(counts, "embed12"))
+    _patch_everywhere(monkeypatch, identities, "mbe_r_form", _counting(counts, "mbe_r_form"))
     _patch_everywhere(monkeypatch, plane, "_projector_constraints",
                       _counting(counts, "_projector_constraints"))
     monkeypatch.setattr(pmatrix.ParamMatrix, "__matmul__",
@@ -99,13 +101,16 @@ def test_one_verify_pass_builds_each_family_once(monkeypatch):
         assert run_verify("all", stream=io.StringIO()) == 0
     finally:
         sys.setprofile(None)
-    # embed12: two K-powers per family in _defect_coefficients, one in mbe_r_form;
+    # embed12: two K-powers per family in _defect_coefficients;
     # projector constraints: three pure sectors (qh shared by two lines), two mixed;
-    # matmul: one Hecke square per family, shared by hecke and projectors;
+    # matmul: one Hecke square per family, shared by hecke and projectors, and
+    # no R-form triple product: mbe-r-form reads the mbe verdict, so
+    # mbe_r_form never runs;
     # build_rhat: the affine decision's K = 0 and K = 1 once per family, shared
     # by rhat-affine and baxterization
-    assert counts == {"embed12": 9, "_projector_constraints": 5,
-                      "matmul": 38, "build_rhat": 20}
+    assert "mbe_r_form" not in counts
+    assert counts == {"embed12": 6, "_projector_constraints": 5,
+                      "matmul": 26, "build_rhat": 20}
 
 
 def test_one_verify_pass_solves_the_rtt_system_on_sparse_rows(monkeypatch):
