@@ -20,16 +20,17 @@ from fractions import Fraction
 import pytest
 import ref_identities
 import ref_pmatrix as ref
-from test_mutation import MUTANTS, _patch_everywhere
+from test_mutation import MUTANTS, _patch_everywhere, _rhat_mutant
 from test_perm_moves import _mbe_r_form_by_products
 
 import mbraid.catalog as catalog
 import mbraid.identities as identities
-from mbraid.catalog import DEFORMATIONS, deformation
+from mbraid.catalog import DEFORMATIONS
 from mbraid.cli import run_verify
 from mbraid.pmatrix import ParamMatrix, perm_apply, perm_operator
-from mbraid.scalars import const
+from mbraid.scalars import const, sym
 
+K = sym("K")
 P13 = (3, 2, 1)
 
 
@@ -67,23 +68,9 @@ def test_r_form_is_minus_p13_times_rhat_form_for_a_rational_rhat(seed):
     assert r_form.data == ref.neg(ref.matmul(perm_operator(P13), rhat_form)).data
 
 
-def _k_in_denominator(did):
-    """Rhat[1, 1] + K/(K + 1) for one family."""
-    def make(real):
-        def build_rhat(d, k=None):
-            m = real(d, k)
-            if deformation(d).id != did:
-                return m
-            k = catalog._coupling(k)
-            data = list(m.data)
-            data[5] = data[5] + k / (k + 1)
-            return ParamMatrix(4, 4, data)
-        return build_rhat
-    return catalog, "build_rhat", make
-
-
 def test_k_in_a_denominator_fails_both_forms_with_one_error(monkeypatch):
-    _patch_everywhere(monkeypatch, *_k_in_denominator("pq"))
+    # Rhat[1, 1] + K/(K + 1) for pq
+    _patch_everywhere(monkeypatch, *_rhat_mutant("pq", 1, 1, K / (K + 1), 0))
     buf = io.StringIO()
     assert run_verify("identities", json_out=True, stream=buf) == 1
     lines = {r["check"]: r for r in json.loads(buf.getvalue()) if r["deformation"] == "pq"}
