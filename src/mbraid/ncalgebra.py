@@ -6,19 +6,26 @@ RewriteSystem orients the defining relations of one algebra so that every
 left-hand side is a two-letter descending (or repeated) pair and every
 right-hand side is already in normal form.
 
-Reduction is leftmost-innermost and deterministic.  Termination and
-confluence rest on certificates: termination_order finds a weighted
-degree-lex order, with 0/1 weights on the letters, under which every rule
-descends, and critical_pairs resolves each overlap ab.bc of two left-hand
-sides.  By Bergman's diamond lemma (Adv. Math. 29, 1978) the two
-together prove confluence at every degree.  The step cap in normal_order is
-only a backstop for systems without an order.  diamond_check, which reduces
-every word up to a fixed degree with two redexes, is kept as an oracle.
+Reduction is leftmost-innermost, deterministic and linear, so each system
+keeps a table of the leftmost normal forms of the single words it has
+rewritten; normal_order sums the input's coefficients times those forms and
+builds a missing form once, on an explicit stack.  A system's rules are
+read-only after construction (by_lhs is a mapping proxy), so a stored form
+never goes stale.  Termination and confluence rest on certificates:
+termination_order finds a weighted degree-lex order, with 0/1 weights on
+the letters, under which every rule descends, and critical_pairs resolves
+each overlap ab.bc of two left-hand sides.  By Bergman's diamond lemma
+(Adv. Math. 29, 1978) the two together prove confluence at every degree.
+The step cap bounds the number of words normal_order rewrites in one call,
+and a word met again while its own form is being built is a cycle, refused
+at once.  diamond_check, which reduces every word up to a fixed degree with
+two redexes, is kept as an oracle.
 """
 
 from __future__ import annotations
 
 from itertools import product
+from types import MappingProxyType
 from typing import NamedTuple
 
 from .catalog import deformation, per_pass
@@ -149,20 +156,23 @@ class RewriteRule(NamedTuple):
 
 class RewriteSystem:
     """Oriented relations of one algebra.  The constructor enforces the shape
-    guarantees reduction relies on; it does not prove termination."""
+    guarantees reduction relies on; it does not prove termination.  by_lhs
+    is read-only, and forms maps each reducible word normal_order has met
+    to its leftmost normal form, {normal word: coefficient}, words in the
+    order a leftmost reduction first reaches them, cancelled ones kept."""
 
     def __init__(self, name: str, alphabet: tuple, rules: list, step_cap: int = 10000):
         self.name = name
         self.alphabet = alphabet
         self.step_cap = step_cap
-        self.by_lhs = {}
+        by_lhs = {}
         letters = set(alphabet)
         for rule in rules:
             if len(rule.lhs) != 2:
                 raise ValueError(f"rule lhs {rule.lhs} is not a pair of letters")
             if not letters.issuperset(rule.lhs):
                 raise ValueError(f"lhs {rule.lhs} not in alphabet of {name}")
-            if rule.lhs in self.by_lhs:
+            if rule.lhs in by_lhs:
                 raise ValueError(f"duplicate rule for {rule.lhs}")
             for w in rule.rhs.coeffs:
                 if len(w) > 2:
@@ -171,7 +181,9 @@ class RewriteSystem:
                     raise ValueError(f"rule {rule.lhs} maps to itself")
                 if not letters.issuperset(w):
                     raise ValueError(f"rhs of {rule.lhs} leaves the alphabet")
-            self.by_lhs[rule.lhs] = rule
+            by_lhs[rule.lhs] = rule
+        self.by_lhs = MappingProxyType(by_lhs)
+        self.forms: dict = {}
 
     def find_redex(self, word: Word):
         """Leftmost redex: (position, rule) or None."""
@@ -183,25 +195,91 @@ class RewriteSystem:
 
 
 def normal_order(p: NCPoly, system: RewriteSystem) -> NCPoly:
-    """Fully reduce p, leftmost redex first.  Raises StepCapExceeded if the
-    rewrite budget is exhausted."""
+    """Fully reduce p, leftmost redex first: the sum of c * form(w) over its
+    terms c*w, each form read from system.forms or built there first.
+
+    Terms are visited last first, and words are kept in the order they are
+    first reached, cancelled ones included until the final NCPoly, so the
+    result lists its words as a leftmost reduction of p does.  Raises
+    StepCapExceeded when more than system.step_cap words are rewritten in
+    one call, and at once on a cycle: a word met again while its own form is
+    still being built."""
+    forms = system.forms
     out: dict = {}
-    agenda = list(p.coeffs.items())
     steps = 0
-    while agenda:
-        word, coeff = agenda.pop()
-        hit = system.find_redex(word)
-        if hit is None:
-            s = out.get(word)
-            out[word] = coeff if s is None else s + coeff
-            continue
-        steps += 1
-        if steps > system.step_cap:
-            raise StepCapExceeded(f"{system.name}: more than {system.step_cap} rewrite steps")
-        i, rule = hit
-        for rword, rcoef in rule.rhs.coeffs.items():
-            agenda.append((word[:i] + rword + word[i + 2:], coeff * rcoef))
+    for word, coeff in reversed(p.coeffs.items()):
+        form = forms.get(word)
+        if form is None:
+            hit = system.find_redex(word)
+            if hit is None:
+                s = out.get(word)
+                out[word] = coeff if s is None else s + coeff
+                continue
+            steps = _build(system, word, hit, steps)
+            form = forms[word]
+        for w, c in form.items():
+            t = coeff * c
+            s = out.get(w)
+            out[w] = t if s is None else s + t
     return NCPoly(out)
+
+
+def _build(system: RewriteSystem, word: Word, hit: tuple, steps: int) -> int:
+    """Store in system.forms the form of a reducible word, and first that of
+    every reducible word below it that the table lacks, depth first on an
+    explicit stack; returns the count of words rewritten in this call so far.
+
+    With (i, rule) the leftmost redex of w, form(w) is the sum of
+    rcoef * form(w[:i] + rword + w[i+2:]) over the terms of rule.rhs, last
+    term first, summed as normal_order sums.  A normal word is its own form
+    and is not stored."""
+    forms, cap, find = system.forms, system.step_cap, system.find_redex
+    building: set = set()
+    stack: list = []  # [word, its (kid, rcoef) terms, count of kids looked at]
+    while True:
+        if hit is not None:  # rewrite word once, at its leftmost redex
+            steps += 1
+            if steps > cap or word in building:
+                raise StepCapExceeded(f"{system.name}: more than {cap} rewrite steps")
+            building.add(word)
+            i, rule = hit
+            head, tail = word[:i], word[i + 2:]
+            kids = []
+            for rw, rc in reversed(rule.rhs.coeffs.items()):
+                kids.append((head + rw + tail, rc))
+            frame = [word, kids, 0]
+            stack.append(frame)
+        else:  # a kid's form is stored: go on with its parent
+            frame = stack[-1]
+            kids = frame[1]
+        pos = frame[2]
+        for kid, _ in kids[pos:]:
+            pos += 1
+            if kid not in forms:
+                hit = find(kid)
+                if hit is not None:
+                    frame[2] = pos
+                    word = kid
+                    break
+        else:  # every kid is normal or in the table
+            form: dict = {}
+            for kid, rc in kids:
+                sub = forms.get(kid)
+                if sub is None:
+                    s = form.get(kid)
+                    form[kid] = rc if s is None else s + rc
+                    continue
+                for w, c in sub.items():
+                    t = rc * c
+                    s = form.get(w)
+                    form[w] = t if s is None else s + t
+            stack.pop()
+            word = frame[0]
+            forms[word] = form
+            building.discard(word)
+            if not stack:
+                return steps
+            hit = None
 
 
 def diamond_check(system: RewriteSystem, max_degree: int) -> list:

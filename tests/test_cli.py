@@ -539,7 +539,10 @@ def test_main_scan_overflow_writes_no_csv(tmp_path, capsys):
 
 
 def test_main_plane_step_cap_is_a_usage_error(capsys):
-    assert main(["plane", "--deformation", "gh", "--K", "1", "--expr", "y^12*x^12"]) == 2
+    # every rule of the pq plane at K = 1 that this word meets has one term, so
+    # the leftmost reduction rewrites 150 * 150 distinct words, one per y
+    # moved past an x, against the plane's cap of 20,000
+    assert main(["plane", "--deformation", "pq", "--K", "1", "--expr", "y^150*x^150"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and "rewrite steps" in captured.err

@@ -187,6 +187,38 @@ def test_step_cap_guards_nontermination():
         normal_order(NCPoly.from_word(("a", "b")), swap)
 
 
+def test_step_cap_catches_a_cycle_at_once():
+    # ab -> ba -> ab meets ab again while its form is being built; no cap
+    # would let the leftmost reduction finish, so the cap's size is moot
+    swap = RewriteSystem("swap", ("a", "b"), list(_swap_system().by_lhs.values()),
+                         step_cap=10**9)
+    with pytest.raises(StepCapExceeded, match="swap: more than 1000000000 rewrite steps"):
+        normal_order(NCPoly.from_word(("a", "b")), swap)
+    assert swap.forms == {}
+
+
+def test_step_cap_counts_the_words_rewritten_in_one_call():
+    full = build_group_system("gh")
+    word = NCPoly.from_word(("d", "c", "b", "a"))
+    normal_order(word, full)
+    assert len(full.forms) > 3
+    small = RewriteSystem("gh", GROUP, list(full.by_lhs.values()), step_cap=3)
+    with pytest.raises(StepCapExceeded, match="gh: more than 3 rewrite steps"):
+        normal_order(word, small)
+    # the forms a later call finds in the table are not rewritten again
+    for w in sorted(full.forms, key=len):
+        normal_order(NCPoly.from_word(w), small)
+    assert normal_order(word, small) == normal_order(word, full)
+
+
+def test_rules_are_read_only_after_construction():
+    system = build_group_system("pq")
+    with pytest.raises(TypeError):
+        system.by_lhs[("a", "a")] = system.by_lhs[("b", "a")]
+    with pytest.raises(TypeError):
+        del system.by_lhs[("b", "a")]
+
+
 def test_rule_validation():
     with pytest.raises(ValueError):
         RewriteSystem("bad", ("a", "b"), [

@@ -137,7 +137,11 @@ def test_one_verify_pass_solves_the_rtt_system_on_sparse_rows(monkeypatch):
 
 
 def _printed(obj) -> str:
-    """Every field of a shared object as text, rules and dict values included."""
+    """Every field of a shared object as text, rules and dict values included.
+
+    A RewriteSystem's table of normal forms (``forms``) is left out on
+    purpose: it holds only values derived from the rules, and it grows
+    whenever a check normal-orders a word it has not met."""
     if isinstance(obj, RewriteSystem):
         rules = [(lhs, str(rule.rhs)) for lhs, rule in obj.by_lhs.items()]
         return str((obj.name, obj.alphabet, obj.step_cap, rules))
