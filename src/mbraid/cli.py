@@ -16,9 +16,10 @@ from __future__ import annotations
 import json
 import math
 import sys
+from collections.abc import Sequence
 from fractions import Fraction
 from itertools import accumulate, islice, repeat
-from operator import truediv
+from operator import eq, truediv
 
 from .catalog import DEFORMATIONS, build_rhat, deformation, verify_pass
 from .checks import registered_checks
@@ -277,21 +278,70 @@ def parse_expression(text: str) -> NCPoly:
 
 # -- numeric coupling scan ----------------------------------------------
 
-def run_scan(d, bindings, kmin, kmax, steps: int, out: str) -> list:
+class ScanRows(Sequence):
+    """The (K, residual_fro) rows of a scan, read-only.
+
+    Row i is (Fraction(start + stride*i, scale), fro[i]).  K is made on
+    access: ``mbraid scan`` reads only ``len``, so a list of Fractions built
+    up front would be the largest per-point cost of the scan.  Indices follow
+    ``range``, slices are lists, and a ScanRows equals a list or ScanRows
+    holding the same rows.
+    """
+
+    __slots__ = ("_start", "_stride", "_scale", "_fro")
+
+    def __init__(self, start: int, stride: int, scale: int, fro: list):
+        self._start, self._stride, self._scale, self._fro = start, stride, scale, fro
+
+    def __len__(self) -> int:
+        return len(self._fro)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(len(self._fro))[i]]
+        i = range(len(self._fro))[i]
+        return Fraction(self._start + self._stride * i, self._scale), self._fro[i]
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self._fro)))
+
+    def __eq__(self, other):
+        if isinstance(other, (list, ScanRows)):
+            return len(self) == len(other) and all(map(eq, self, other))
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return (f"ScanRows({len(self)} rows, K = ({self._start} + {self._stride}*i)"
+                f"/{self._scale}, i = 0..{len(self) - 1})")
+
+
+def run_scan(d, bindings, kmin, kmax, steps: int, out: str) -> Sequence:
     """Frobenius norm of the braid defect on an even grid of couplings.
 
-    The bindings go into the 16 entries of Rhat first and must leave it
-    polynomial in K, or ValueError names the family.  The braid defect of the
-    bound matrix comes from its K-free coefficients (identities._split_defect),
-    and its squared entries are summed once into F(K).  F's denominator is one
-    positive int: no entry has K in a denominator, every other symbol is bound,
-    and normalization's monomial shift puts no K into a constant.  Point i of
-    the grid is (start + stride*i)/scale, and _on_grid gives F's numerator
-    there in integers, as running sums.  Only the square root of the correctly
-    rounded int / int quotient and the CSV text are floating point; K is
-    written as the correctly rounded k / scale.  Every column is built before
-    the CSV is opened, so an OverflowError writes none.
+    kmin and kmax are ints or Fractions and steps an int, or TypeError names
+    the argument before any work: a float bound would scan from its binary
+    expansion.  The bindings go into the 16 entries of Rhat first and must
+    leave it polynomial in K, or ValueError names the family.  The braid
+    defect of the bound matrix comes from its K-free coefficients
+    (identities._split_defect), and its squared entries are summed once into
+    F(K).  F's denominator is one positive int: no entry has K in a
+    denominator, every other symbol is bound, and normalization's monomial
+    shift puts no K into a constant.  Point i of the grid is
+    (start + stride*i)/scale, and _on_grid gives F's numerator there in
+    integers, as running sums.  Only the square root of the correctly rounded
+    int / int quotient and the CSV text are floating point; K is written as
+    the correctly rounded k / scale.  Every column is built before the CSV is
+    opened, so an OverflowError writes none.
+
+    Returns a ScanRows of (K, residual_fro) pairs, K an exact Fraction.  It
+    keeps the grid integers and the float column and makes each K when it is
+    read, so a scan builds no Fraction per point.
     """
+    for name, value in (("kmin", kmin), ("kmax", kmax)):
+        if not isinstance(value, (int, Fraction)):
+            raise TypeError(f"{name} must be an int or Fraction, got {type(value).__name__}")
+    if not isinstance(steps, int):
+        raise TypeError(f"steps must be an int, got {type(steps).__name__}")
     if not 2 <= steps <= MAX_SCAN_STEPS:
         raise ValueError(f"steps must be between 2 and {MAX_SCAN_STEPS}")
     spec = deformation(d)
@@ -314,17 +364,15 @@ def run_scan(d, bindings, kmin, kmax, steps: int, out: str) -> list:
     stride = kmax.numerator * (scale // kmax.denominator) - start
     start *= steps - 1
     scale *= steps - 1
-    ks = list(accumulate(repeat(stride, steps - 1), initial=start))
     grid = _on_grid(num, start, stride, scale, steps)
     # _horner's second member is scale^(number of coefficients)
     fro = list(map(math.sqrt, map(truediv, grid, repeat(scale ** len(num) * den))))
-    # the text first, so that join's list of lines is gone before the rows are
-    # made, and no copy with the header: the peak memory stays the old loop's
+    ks = accumulate(repeat(stride, steps - 1), initial=start)
+    # no copy with the header: the peak memory stays the old loop's
     text = "".join(map("{:.17g},{:.17g}\n".format, map(truediv, ks, repeat(scale)), fro))
-    rows = list(zip(map(Fraction, ks, repeat(scale)), fro))
     with open(out, "w") as fh:
         fh.writelines(("K,residual_fro\n", text))
-    return rows
+    return ScanRows(start, stride, scale, fro)
 
 
 def _k_coeffs(p: Poly) -> list:

@@ -272,6 +272,22 @@ def test_scan_refuses_a_float_binding(tmp_path):
     assert not path.exists()
 
 
+@pytest.mark.parametrize("kmin, kmax, steps, name, got", [
+    (0.1, 2, 3, "kmin", "float"), (0, 2.0, 3, "kmax", "float"), ("0", 2, 3, "kmin", "str"),
+    (0, None, 3, "kmax", "NoneType"), (0, 2, 3.0, "steps", "float"),
+    (0, 2, Fraction(3), "steps", "Fraction"), (0, 2, "3", "steps", "str")])
+def test_scan_refuses_an_inexact_grid(tmp_path, monkeypatch, kmin, kmax, steps, name, got):
+    # refused before the family is looked up, so before any symbolic work
+    def no_symbolic_work(d):
+        raise AssertionError("deformation looked up")
+
+    monkeypatch.setattr(cli, "deformation", no_symbolic_work)
+    path = tmp_path / "x.csv"
+    with pytest.raises(TypeError, match=f"^{name} must be an int(?: or Fraction)?, got {got}$"):
+        run_scan("pq", {"p": Fraction(2), "q": Fraction(3)}, kmin, kmax, steps, str(path))
+    assert not path.exists()
+
+
 def test_scan_rejects_steps_above_bound(tmp_path):
     out = tmp_path / "x.csv"
     with pytest.raises(ValueError):

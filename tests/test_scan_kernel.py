@@ -1,12 +1,14 @@
 """Differential test of the integer scan against the Fraction scan kept in
 ref_scan.py.
 
-Both scans must return equal rows (``==``, every K a Fraction) and write
+Both scans must return equal rows (``==``, every K a Fraction; the integer
+scan's rows are a read-only sequence, the reference's a list) and write
 byte-identical CSV files, or raise the same exception class with the same
 message and write no CSV."""
 
 import math
 import random
+from collections.abc import Sequence
 from fractions import Fraction
 
 import pytest
@@ -41,7 +43,7 @@ def _same(tmp_path, d, bindings, kmin, kmax, steps):
     got = _outcome(run_scan, args, tmp_path / "int.csv")
     want = _outcome(ref.run_scan, args, tmp_path / "ref.csv")
     assert got == want, args
-    if isinstance(got[0], list):
+    if isinstance(got[0], Sequence):
         assert len(got[0]) == steps
         assert all(type(k) is Fraction for k, _ in got[0]), args
     return got
@@ -85,7 +87,7 @@ def test_scan_matches_reference_at_special_bindings(tmp_path, d):
             if d == "pq" and name == "p" and value == 0:
                 assert got[0] is DivisionByZero
             else:
-                assert isinstance(got[0], list), (name, value)
+                assert isinstance(got[0], Sequence), (name, value)
 
 
 @pytest.mark.parametrize("d", PARAMS)
@@ -246,3 +248,46 @@ def test_the_scan_denominator_is_one_positive_int():
     # the zero F of gh at its braid coupling K = 1
     f = _scan_f("gh", {**_defaults("gh"), "K": F(1)})
     assert f.is_zero() and _constant_denominator(f)
+
+
+def test_a_scan_makes_no_fraction_per_grid_point(tmp_path, monkeypatch):
+    # the rows make K on access; the scan itself builds only a handful
+    made = []
+    real = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        made.append(args)
+        return real(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
+    rows = run_scan("pq", _defaults("pq"), F(-3), F(5, 2), 1001, str(tmp_path / "scan.csv"))
+    assert len(rows) == 1001
+    assert len(made) < 16
+
+
+@pytest.mark.parametrize("d", PARAMS)
+@pytest.mark.parametrize("kmin, kmax, steps", [(F(-3), F(5, 2), 1001), (F(-3), F(5, 2), 2)])
+def test_scan_rows_read_as_the_reference_list(tmp_path, d, kmin, kmax, steps):
+    args = (d, _defaults(d), kmin, kmax, steps)
+    rows = run_scan(*args, str(tmp_path / "int.csv"))
+    want = ref.run_scan(*args, str(tmp_path / "ref.csv"))
+    assert isinstance(rows, Sequence) and not isinstance(rows, list)
+    assert len(rows) == len(want) == steps
+    assert rows[0] == want[0] and rows[-1] == want[-1]
+    rng = random.Random(f"4001:{d}:{steps}")
+    for i in [rng.randrange(-steps, steps) for _ in range(20)]:
+        assert rows[i] == want[i], i
+    for i in (steps, -steps - 1, 10 ** 30):
+        with pytest.raises(IndexError):
+            rows[i]
+    for s in (slice(None), slice(1, None), slice(-2, None), slice(None, None, -1),
+              slice(3, 1), slice(0, steps + 5, 7), slice(-steps - 9, 1)):
+        got = rows[s]
+        assert type(got) is list and got == want[s], s
+    assert list(rows) == want
+    assert list(reversed(rows)) == want[::-1]
+    assert want[-1] in rows and (want[-1][0] + 1, want[-1][1]) not in rows
+    assert rows == want and want == rows and rows == rows
+    assert rows != want[:-1] and want[:-1] != rows and rows != tuple(want)
+    assert all(type(k) is Fraction for k, _ in rows)
+    assert repr(rows).startswith(f"ScanRows({steps} rows")
