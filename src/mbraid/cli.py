@@ -302,9 +302,6 @@ class ScanRows(Sequence):
         i = range(len(self._fro))[i]
         return Fraction(self._start + self._stride * i, self._scale), self._fro[i]
 
-    def __iter__(self):
-        return map(self.__getitem__, range(len(self._fro)))
-
     def __eq__(self, other):
         if isinstance(other, (list, ScanRows)):
             return len(self) == len(other) and all(map(eq, self, other))
