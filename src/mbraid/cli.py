@@ -23,7 +23,7 @@ from operator import eq, truediv
 
 from .catalog import DEFORMATIONS, build_rhat, deformation, verify_pass
 from .checks import registered_checks
-from .identities import _defect_at, _split_defect
+from .identities import _basis_of, _defect_matrix
 from .ncalgebra import GROUP, PLANE, NCPoly, StepCapExceeded, normal_order
 from .plane import MIXED, build_plane_system, build_pure_system
 from .rtt import SpanMismatch, solve_family
@@ -319,11 +319,11 @@ def run_scan(d, bindings, kmin, kmax, steps: int, out: str) -> Sequence:
     the argument before any work: a float bound would scan from its binary
     expansion.  The bindings go into the 16 entries of Rhat first and must
     leave it polynomial in K, or ValueError names the family.  The braid
-    defect of the bound matrix comes from its K-free coefficients
-    (identities._split_defect), and its squared entries are summed once into
-    F(K).  F's denominator is one positive int: no entry has K in a
-    denominator, every other symbol is bound, and normalization's monomial
-    shift puts no K into a constant.  Point i of the grid is
+    defect of the bound matrix is written from its coordinates in the basis
+    of its K-free coefficients (identities._basis_of and _defect_matrix),
+    and its squared entries are summed once into F(K).  F's denominator is
+    one positive int: no entry has K in a denominator, every other symbol is
+    bound, and normalization's monomial shift puts no K into a constant.  Point i of the grid is
     (start + stride*i)/scale, and _on_grid gives F's numerator there in
     integers, as running sums.  Only the square root of the correctly rounded
     int / int quotient and the CSV text are floating point; K is written as
@@ -348,7 +348,7 @@ def run_scan(d, bindings, kmin, kmax, steps: int, out: str) -> Sequence:
         if scalar is not None:  # substitute refuses the rest
             bindings[name] = scalar
     rhat = build_rhat(spec).map(lambda e: substitute(e, bindings))
-    defect = _defect_at(_split_defect(rhat, spec.id), ONE, sym("K"), ZERO)
+    defect = _defect_matrix(_basis_of(rhat, spec.id), ONE, sym("K"), ZERO)
     f = sum((e * e for e in defect.data), ZERO)
     free = sorted(f.symbols() - {"K"}, key=SYMBOLS.index)
     if free:

@@ -29,31 +29,30 @@ coefficient.  For the catalog N = K A, so the K-dependence costs one 4x4
 A @ A and A12 A23 A12 - A23 A12 A23 over K-free entries, both triple
 products sharing the one product A12 A23.
 
-The checks decide on coordinates, not on 8x8 matrices.  _defect_basis
-reduces the K-free coefficient matrices of E1, E2 and E3 to an independent
-basis of their span and stores each matrix's coordinates in it.  For every
-catalog family the span has dimension one: the coefficients of E2 and E3 are
-sigma and tau times that of E1, where lam = 1 + sigma K + tau K^2, so
-sigma = -(1/K1 + 1/K2) and tau = 1/(K1 K2).  _defect_vanishes decides
-whether a^2 E1 + a E2 + E3 - lam E1 is zero at a coupling from one scalar
-per basis vector: the MBE (a = 1 less lam E1), the braid values at K1 and K2
-(a = 1), and the shifted family (a = 1 - mu, and a = K/Ki at each root).
-Divisibility needs no symbolic evaluation either: B(K) = E1 + E2 + E3 is the
-sum of beta_b(K) times basis vector b, and _lam_divides long-divides each
-scalar polynomial beta_b by lam's numerator.  Nothing assumes Rhat(0) = I or
-that Rhat is affine, so a constant or higher-power term in K is split like
-any other, and its matrix joins the basis when it leaves the span.
-The one refusal is an entry with K in its denominator, which raises
-ValueError.  Inside a verify pass (catalog.verify_pass, opened by
-cli.run_verify) mbe_factor, _defect_coefficients and _defect_basis run once
-per family and the mbe, braid-values and s-shift checks share the result;
-outside one, every call computes afresh.
-
-_defect_at builds the defect matrix itself, a^2 E1 + a E2 + E3 - lam E1 at a
-coupling, for braid_residual, mbe_residual and cli.run_scan, which applies
-_split_defect to its parameter-bound Rhat.  It adds w * y only at the nonzero
-entries y of each coefficient matrix and an entry's first write stores w * y
-itself, so every entry is written as the dense sum writes it.
+Every consumer reads the defect through coordinates.  _basis_of reduces
+the K-free coefficient matrices of E1, E2 and E3 to an independent basis of
+their span and stores each matrix's coordinates in it; _defect_basis is
+_basis_of of the family's symbolic Rhat.  For every catalog family the span
+has dimension one: the coefficients of E2 and E3 are sigma and tau times
+that of E1, where lam = 1 + sigma K + tau K^2, so sigma = -(1/K1 + 1/K2)
+and tau = 1/(K1 K2).  _defect_coords is the one evaluator: it gives the
+coordinates of a^2 E1 + a E2 + E3 - lam E1 at a coupling, one scalar per
+basis vector.  _defect_vanishes asks whether each is zero, for the MBE
+(a = 1 less lam E1), the braid values at K1 and K2 (a = 1), and the shifted
+family (a = 1 - mu, and a = K/Ki at each root).  Divisibility needs no
+matrix either: B(K) = E1 + E2 + E3 is the sum of beta_b(K) times basis
+vector b, beta_b its coordinates at a = 1, and _lam_divides long-divides
+the numerator of each by lam's.  _defect_matrix writes the sum of each
+coordinate times its basis vector as an 8x8 matrix, for braid_residual,
+mbe_residual and cli.run_scan, which takes _basis_of its parameter-bound
+Rhat; it skips zero operands and stores each entry's first write directly.
+Nothing assumes Rhat(0) = I or that Rhat is affine, so a constant or
+higher-power term in K is split like any other, and its matrix joins the
+basis when it leaves the span.  The one refusal is an entry with K in its
+denominator, which raises ValueError.  Inside a verify pass
+(catalog.verify_pass, opened by cli.run_verify) mbe_factor and
+_defect_basis run once per family and the mbe, braid-values and s-shift
+checks share the result; outside one, every call computes afresh.
 
 mbe_r_form forms both full symbolic triple products of R = P.Rhat; only its
 products with permutation operators (R13 and the two cycles) move entries
@@ -99,13 +98,6 @@ def _mat_poly_sub(f: dict, g: dict) -> dict:
     return {e: x - g[e] for e, x in f.items()}
 
 
-@per_pass
-def _defect_coefficients(d) -> tuple:
-    """_split_defect of the family's symbolic Rhat."""
-    spec = deformation(d)
-    return _split_defect(build_rhat(spec), spec.id)
-
-
 def _split_defect(rhat: ParamMatrix, name: str) -> tuple:
     """(E1, E2, E3), each {power of K: K-free 8x8 matrix}, with
     defect(a I + N) = a^2 E1 + a E2 + E3 for N = rhat - I.  An entry with K
@@ -129,27 +121,11 @@ def _split_defect(rhat: ParamMatrix, name: str) -> tuple:
             _mat_poly_sub(_mat_poly_mul(n12n23, n12), _mat_poly_mul(n23, n12n23)))
 
 
-def _defect_at(coeffs: tuple, a: RatFunc, k: RatFunc, lam: RatFunc) -> ParamMatrix:
-    """a^2 E1 + a E2 + E3 - lam E1 at K = k: the braid defect of a I + N(k)
-    less lam (Rhat12 - Rhat23), an 8x8 matrix."""
-    e1, e2, e3 = coeffs
-    data = [ZERO] * 64
-    first = a * a if lam.is_zero() else a * a - lam
-    for weight, part in ((first, e1), (a, e2), (ONE, e3)):
-        for power, m in part.items():
-            w = weight * k ** power
-            for i, y in enumerate(m.data):
-                if not y.is_zero():
-                    data[i] = w * y if data[i].is_zero() else data[i] + w * y
-    return ParamMatrix(8, 8, data)
-
-
-@per_pass
-def _defect_basis(d) -> tuple:
+def _basis_of(rhat: ParamMatrix, name: str) -> tuple:
     """(vectors, coordinates): an independent basis of the span of the K-free
-    matrices of _defect_coefficients, each read as a 64-entry vector, and
-    (part, power, coordinates) for every such matrix, part 0, 1 and 2 for
-    E1, E2 and E3.  Each matrix is reduced against the basis so far: a
+    matrices of _split_defect(rhat, name), each read as a 64-entry vector,
+    and (part, power, coordinates) for every such matrix, part 0, 1 and 2
+    for E1, E2 and E3.  Each matrix is reduced against the basis so far: a
     vector's pivot is its first nonzero entry, and the coordinate is the
     remainder's pivot entry over the vector's.  A nonzero remainder joins the
     basis with coordinate 1, so every vector is zero at the earlier pivots
@@ -157,7 +133,7 @@ def _defect_basis(d) -> tuple:
     exactly when each of its coordinates is."""
     basis: list = []  # (pivot, vector)
     coords: list = []
-    for part, poly in enumerate(_defect_coefficients(d)):
+    for part, poly in enumerate(_split_defect(rhat, name)):
         for power, m in poly.items():
             rest, coord = list(m.data), []
             for pivot, vec in basis:
@@ -180,10 +156,16 @@ def _defect_basis(d) -> tuple:
             tuple((part, power, (*coord, *pad[len(coord):])) for part, power, coord in coords))
 
 
-def _defect_vanishes(basis: tuple, a: RatFunc, k: RatFunc, lam: RatFunc) -> bool:
-    """Whether a^2 E1 + a E2 + E3 - lam E1 vanishes at K = k, decided on its
-    coordinates in basis (_defect_basis): coordinate b is the sum of
-    weight[part] k^power coord[b], and the basis is independent."""
+@per_pass
+def _defect_basis(d) -> tuple:
+    """_basis_of the family's symbolic Rhat."""
+    spec = deformation(d)
+    return _basis_of(build_rhat(spec), spec.id)
+
+
+def _defect_coords(basis: tuple, a: RatFunc, k: RatFunc, lam: RatFunc) -> list:
+    """The coordinates of a^2 E1 + a E2 + E3 - lam E1 at K = k in basis
+    (_basis_of): coordinate b is the sum of weight[part] k^power coord[b]."""
     vectors, coords = basis
     weights = (a * a if lam.is_zero() else a * a - lam, a, ONE)
     total = [ZERO] * len(vectors)
@@ -192,17 +174,38 @@ def _defect_vanishes(basis: tuple, a: RatFunc, k: RatFunc, lam: RatFunc) -> bool
         for b, x in enumerate(coord):
             if not x.is_zero():
                 total[b] = w * x if total[b].is_zero() else total[b] + w * x
-    return all(t.is_zero() for t in total)
+    return total
+
+
+def _defect_vanishes(basis: tuple, a: RatFunc, k: RatFunc, lam: RatFunc) -> bool:
+    """Whether a^2 E1 + a E2 + E3 - lam E1 vanishes at K = k: the basis is
+    independent, so exactly when every coordinate does."""
+    return all(c.is_zero() for c in _defect_coords(basis, a, k, lam))
+
+
+def _defect_matrix(basis: tuple, a: RatFunc, k: RatFunc, lam: RatFunc) -> ParamMatrix:
+    """a^2 E1 + a E2 + E3 - lam E1 at K = k as an 8x8 matrix: the braid
+    defect of a I + N(k) less lam (Rhat12 - Rhat23), the sum of each
+    coordinate times its basis vector."""
+    vectors, _ = basis
+    data = [ZERO] * 64
+    for c, vec in zip(_defect_coords(basis, a, k, lam), vectors):
+        if c.is_zero():
+            continue
+        for i, y in enumerate(vec):
+            if not y.is_zero():
+                data[i] = c * y if data[i].is_zero() else data[i] + c * y
+    return ParamMatrix(8, 8, data)
 
 
 def braid_residual(d, k=None) -> ParamMatrix:
     """B(K) on the triple tensor product, an 8x8 matrix."""
-    return _defect_at(_defect_coefficients(d), ONE, _coupling(k), ZERO)
+    return _defect_matrix(_defect_basis(d), ONE, _coupling(k), ZERO)
 
 
 def mbe_residual(d) -> ParamMatrix:
     """B(K) - lam(K) (Rhat12 - Rhat23); identically zero for the catalog."""
-    return _defect_at(_defect_coefficients(d), ONE, sym("K"), mbe_factor(d))
+    return _defect_matrix(_defect_basis(d), ONE, sym("K"), mbe_factor(d))
 
 
 def mbe_r_form(d) -> ParamMatrix:
@@ -238,21 +241,16 @@ def braid_divisibility(d) -> bool:
 def _lam_divides(spec, basis: tuple) -> bool:
     """Whether the numerator of lam(K) divides B(K) = E1 + E2 + E3.  B(K) is
     the sum over the independent K-free vectors of basis of beta_b(K) times
-    vector b, beta_b(K) = sum of K^power coord[b], so lam divides B exactly
-    when it divides every beta_b: long division of scalars, zero terms
-    dropped, that leaves nothing."""
+    vector b, beta_b the coordinates of _defect_coords at a = 1, so lam
+    divides B exactly when it divides the numerator of every beta_b, whose
+    denominator is free of K: long division of its K-coefficients, zero
+    terms dropped, that leaves nothing."""
     divisor = {e: RatFunc(c) for e, c in mbe_factor(spec).num.coeffs_in("K").items()
                if not c.is_zero()}
     top = max(divisor)
     inv_lead = 1 / divisor.pop(top)
-    vectors, coords = basis
-    for b in range(len(vectors)):
-        beta: dict = {}
-        for _, power, coord in coords:
-            x = coord[b]
-            if not x.is_zero():
-                beta[power] = x if beta.get(power, ZERO).is_zero() else beta[power] + x
-        rem = {e: c for e, c in beta.items() if not c.is_zero()}
+    for beta in _defect_coords(basis, ONE, sym("K"), ZERO):
+        rem = {e: RatFunc(c) for e, c in beta.num.coeffs_in("K").items() if not c.is_zero()}
         while rem and max(rem) >= top:
             e = max(rem)
             step = rem.pop(e) * inv_lead

@@ -6,9 +6,9 @@ defect from K-free coefficients: ``_braid_defect``, ``braid_residual``,
 verbatim.  Each multiplies the full 8x8 matrices whose entries carry K (and
 mu for the shifted family), so nothing is split by powers of K.
 
-``defect_at`` keeps the loop of ``identities._defect_at`` from before it
-skipped the zero entries of the coefficient matrices: it rebuilds all 64
-entries for every power of K.
+``defect_at`` keeps the dense loop that built the defect matrix before the
+library wrote it from coordinates (``identities._defect_matrix``): it
+rebuilds all 64 entries for every coefficient matrix of E1, E2 and E3.
 """
 
 from __future__ import annotations

@@ -4,7 +4,8 @@ This is the scan that mbraid.cli ran before it bound the parameters into
 Rhat and walked the grid in integers: ``run_scan``, ``_k_coeffs`` and
 ``_horner`` are kept verbatim.  The bindings go into every entry of the
 symbolic 8x8 braid_residual, and each grid point and each value of F(K) is
-a Fraction.
+a Fraction.  That braid_residual is the triple product kept in
+ref_identities.py, so the oracle shares no defect code with the scan.
 """
 
 from __future__ import annotations
@@ -14,9 +15,9 @@ from fractions import Fraction
 
 from mbraid.catalog import deformation
 from mbraid.cli import MAX_SCAN_STEPS
-from mbraid.identities import braid_residual
 from mbraid.scalars import (SYMBOLS, ZERO, Poly, UnknownSymbolError,
                             substitute)
+from ref_identities import braid_residual
 
 
 def run_scan(d, bindings, kmin, kmax, steps: int, out: str) -> list:

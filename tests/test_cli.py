@@ -9,6 +9,7 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+from ref_identities import braid_residual
 
 import mbraid
 import mbraid.checks as checks
@@ -16,7 +17,6 @@ import mbraid.cli as cli
 from mbraid.catalog import build_M, build_r, build_rhat, deformation
 from mbraid.cli import (MAX_DEPTH, _rational, main, parse_expression,
                         registered_checks, run_scan, run_verify)
-from mbraid.identities import braid_residual
 from mbraid.ncalgebra import NCPoly, RewriteRule, RewriteSystem
 from mbraid.pmatrix import ParamMatrix
 from mbraid.plane import phi_poly
@@ -219,7 +219,8 @@ def test_scan_gh_zero_only_at_unit_coupling(tmp_path):
 
 
 def _scan_oracle(d, bindings, kvals) -> list:
-    # the per-entry loop: every substituted defect entry evaluated at each K
+    # the per-entry loop: every substituted entry of the triple-product
+    # defect (ref_identities) evaluated at each K
     bound = [substitute(e, bindings) for e in braid_residual(d).data]
     return [(k, math.sqrt(sum((e.eval({"K": k}) ** 2 for e in bound), Fraction(0))))
             for k in kvals]

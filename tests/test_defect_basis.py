@@ -2,10 +2,11 @@
 s-shift.
 
 _defect_vanishes decides whether a^2 E1 + a E2 + E3 - lam E1 is zero from its
-coordinates in the basis of _defect_basis; _defect_at builds the same
-combination as an 8x8 matrix, and is the oracle here.  Both run at every
-shift the checks use, for all three families, with the catalog as it is,
-under the mutants of test_mutation.py, the corner cases of
+coordinates in the basis of _defect_basis, and _defect_matrix writes the same
+combination from them as an 8x8 matrix; ref_identities.defect_at, the dense
+sum over every coefficient matrix of E1, E2 and E3, is the oracle of both.
+Both run at every shift the checks use, for all three families, with the
+catalog as it is, under the mutants of test_mutation.py, the corner cases of
 test_identities_kernel.py and seeded single-entry perturbations of Rhat by
 c K, c K^2 and c K^3.  The catalog's basis has one vector; the perturbations
 and corner cases give bases of two to five.
@@ -16,12 +17,12 @@ from fractions import Fraction
 
 import pytest
 import ref_identities as ref
-from test_identities_kernel import CORNERS, _patch, _rhat_plus
+from test_identities_kernel import CORNERS, _coefficients, _patch, _rhat_plus
 from test_mutation import MUTANTS
 
 from mbraid.catalog import braid_couplings, deformation, hecke_X
-from mbraid.identities import (_defect_at, _defect_basis, _defect_coefficients,
-                               _defect_vanishes, braid_divisibility, mbe_factor)
+from mbraid.identities import (_defect_basis, _defect_matrix, _defect_vanishes,
+                               braid_divisibility, mbe_factor)
 from mbraid.scalars import ONE, ZERO, sym
 
 K, U = sym("K"), sym("u")
@@ -66,10 +67,12 @@ def test_coordinates_decide_as_the_matrix_does(monkeypatch, name):
     if CASES[name] is not None:
         _patch(monkeypatch, CASES[name])
     for d in DEFORMATIONS:
-        coeffs, basis = _defect_coefficients(d), _defect_basis(d)
+        coeffs, basis = _coefficients(d), _defect_basis(d)
         for a, k, lam in _shifts(d):
-            want = _defect_at(coeffs, a, k, lam).is_zero()
-            assert _defect_vanishes(basis, a, k, lam) is want, (d, str(a), str(k), str(lam))
+            want = ref.defect_at(coeffs, a, k, lam)
+            assert _defect_vanishes(basis, a, k, lam) is want.is_zero(), (
+                d, str(a), str(k), str(lam))
+            assert _defect_matrix(basis, a, k, lam) == want, (d, str(a), str(k), str(lam))
 
 
 @pytest.mark.parametrize("name", list(CASES))
@@ -82,7 +85,7 @@ def test_coordinates_rebuild_every_coefficient_matrix(monkeypatch, name):
         # each vector is zero at every earlier pivot, so the basis is independent
         for b, vec in enumerate(vectors):
             assert all(vec[p].is_zero() for p in pivots[:b]), (d, b)
-        matrices = [(part, power, m) for part, poly in enumerate(_defect_coefficients(d))
+        matrices = [(part, power, m) for part, poly in enumerate(_coefficients(d))
                     for power, m in poly.items()]
         assert [(part, power) for part, power, _ in coords] == [
             (part, power) for part, power, _ in matrices], d

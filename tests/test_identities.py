@@ -69,11 +69,11 @@ M = ParamMatrix(8, 8, [(i * j % 5 - 2) * P / Q + (i + 2 * j) % 3 for i in range(
 
 
 def _plant_defect(monkeypatch, b):
-    """Make _defect_coefficients return E1, E2 and E3 whose sum is
+    """Make _split_defect return E1, E2 and E3 whose sum is
     B(K) = sum of K^e b[e]."""
-    def coefficients(d):
+    def split(rhat, name):
         return b, dict(b), {e: -m for e, m in b.items()}
-    monkeypatch.setattr(identities, "_defect_coefficients", coefficients)
+    monkeypatch.setattr(identities, "_split_defect", split)
 
 
 def test_braid_divisibility_rejects_an_entry_lam_does_not_divide(monkeypatch):
@@ -120,22 +120,21 @@ def test_s_shift_rejects_a_planted_defect_factor(monkeypatch):
 
 
 def _count_defect_calls(monkeypatch):
-    """Record every coordinate evaluation (_defect_vanishes) and every
-    _defect_coefficients call."""
-    calls = {"evaluations": 0, "coefficients": 0}
-    real_vanishes, real_coefficients = (identities._defect_vanishes,
-                                        identities._defect_coefficients)
+    """Record every coordinate decision (_defect_vanishes) and every
+    _split_defect call."""
+    calls = {"evaluations": 0, "splits": 0}
+    real_vanishes, real_split = identities._defect_vanishes, identities._split_defect
 
     def vanishes(*args):
         calls["evaluations"] += 1
         return real_vanishes(*args)
 
-    def coefficients(d):
-        calls["coefficients"] += 1
-        return real_coefficients(d)
+    def split(*args):
+        calls["splits"] += 1
+        return real_split(*args)
 
     monkeypatch.setattr(identities, "_defect_vanishes", vanishes)
-    monkeypatch.setattr(identities, "_defect_coefficients", coefficients)
+    monkeypatch.setattr(identities, "_split_defect", split)
     return calls
 
 
@@ -143,9 +142,9 @@ def test_s_shift_checks_each_distinct_root_once(monkeypatch):
     # the symbolic shifted identity, then one braid relation per distinct root
     calls = _count_defect_calls(monkeypatch)
     for did, want in (("pq", 3), ("gh", 2), ("qh", 3)):
-        calls.update(evaluations=0, coefficients=0)
+        calls.update(evaluations=0, splits=0)
         assert s_shift_check(did), did
-        assert calls == {"evaluations": want, "coefficients": 1}, did
+        assert calls == {"evaluations": want, "splits": 1}, did
 
 
 def test_braid_values_checks_each_distinct_coupling_once(monkeypatch):
@@ -153,9 +152,9 @@ def test_braid_values_checks_each_distinct_coupling_once(monkeypatch):
     # coordinates, never evaluated at symbolic K
     calls = _count_defect_calls(monkeypatch)
     for did, want in (("pq", 2), ("gh", 1), ("qh", 2)):
-        calls.update(evaluations=0, coefficients=0)
+        calls.update(evaluations=0, splits=0)
         assert checks._check_braid_values(did)[0], did
-        assert calls == {"evaluations": want, "coefficients": 1}, did
+        assert calls == {"evaluations": want, "splits": 1}, did
 
 
 def test_one_verify_pass_builds_each_defect_basis_once(monkeypatch):

@@ -11,12 +11,11 @@ from fractions import Fraction
 import pytest
 import ref_identities as ref
 from test_mutation import MUTANTS, _patch_everywhere
-from test_pmatrix_kernel import _assert_same_terms_in_order
 
 import mbraid.catalog as catalog
 import mbraid.checks as checks
 from mbraid.catalog import braid_couplings, deformation, hecke_X
-from mbraid.identities import (_defect_at, _defect_coefficients,
+from mbraid.identities import (_defect_basis, _defect_matrix, _split_defect,
                                braid_residual, braid_values_check,
                                mbe_factor, mbe_residual, s_shift_check)
 from mbraid.pmatrix import ParamMatrix
@@ -50,6 +49,12 @@ CORNERS = {
 }
 
 
+def _coefficients(d):
+    """(E1, E2, E3) of the family's symbolic Rhat, as _split_defect gives them."""
+    spec = deformation(d)
+    return _split_defect(catalog.build_rhat(spec), spec.id)
+
+
 def _patch(monkeypatch, mutant):
     """The mutant in every mbraid module, and in the reference checks."""
     _patch_everywhere(monkeypatch, *mutant)
@@ -78,26 +83,28 @@ def test_braid_residual_matches_the_triple_product(d):
 @pytest.mark.parametrize("d", DEFORMATIONS)
 def test_defect_at_any_shift_matches_the_triple_product(d):
     # defect(a I + N) = a^2 E1 + a E2 + E3 for a free symbol and a number
-    coeffs = _defect_coefficients(d)
+    basis = _defect_basis(d)
     n = catalog.build_rhat(d) - ParamMatrix.identity(4)
     for a in (sym("u"), sym("u") * K - 2, const(Fraction(3, 2))):
         want = ref._braid_defect(n + ParamMatrix.identity(4).scale(a))
-        assert _defect_at(coeffs, a, K, ZERO) == want, (d, str(a))
+        assert _defect_matrix(basis, a, K, ZERO) == want, (d, str(a))
 
 
 @pytest.mark.parametrize("d", DEFORMATIONS)
 def test_defect_at_matches_the_dense_loop(d):
-    # every entry written as the loop over all 64 entries writes it, at the
-    # shifts the checks use: 1 (with lam 0 and with lam(K)), 1 - u, K/Ki
+    # every entry equal to the loop over all 64 entries of every coefficient
+    # matrix, at the shifts the checks use: 1 (with lam 0 and with lam(K)),
+    # 1 - u, K/Ki.  The values agree; a sum over basis vectors need not write
+    # an entry's terms as the dense loop does, and no command prints them
     spec = deformation(d)
-    coeffs = _defect_coefficients(d)
+    basis, coeffs = _defect_basis(d), _coefficients(d)
     shifts = [(ONE, ZERO), (ONE, mbe_factor(d)),
               (1 - sym("u"), sym("u") * sym("u") - hecke_X(d) * sym("u") + mbe_factor(d))]
     shifts += [(K / ki, ZERO) for ki in braid_couplings(spec)]
     for a, lam in shifts:
-        got = _defect_at(coeffs, a, K, lam).data
-        _assert_same_terms_in_order(got, ref.defect_at(coeffs, a, K, lam).data)
-        assert len(got) == 64
+        got = _defect_matrix(basis, a, K, lam)
+        assert got == ref.defect_at(coeffs, a, K, lam), (d, str(a))
+        assert len(got.data) == 64
 
 
 @pytest.mark.parametrize("index", range(len(MUTANTS)))
@@ -122,7 +129,7 @@ def test_corner_case_verdicts_match_the_triple_product(monkeypatch, name):
 def test_k_in_a_denominator_is_refused(monkeypatch):
     # the one narrowing: the old checks passed mbe and s-shift for this Rhat
     _patch(monkeypatch, _rhat_plus("qh", 0, 3, lambda k: 1 / (k + 1)))
-    for check in (_defect_coefficients, mbe_residual, braid_values_check, s_shift_check):
+    for check in (_defect_basis, mbe_residual, braid_values_check, s_shift_check):
         with pytest.raises(ValueError, match=r"^qh: Rhat\[0, 3\] = .* K in its denominator"):
             check("qh")
     assert ref.mbe_residual("qh").is_zero() and ref.s_shift_check("qh")

@@ -13,6 +13,7 @@ from fractions import Fraction
 
 import pytest
 import ref_scan as ref
+from test_identities_kernel import CORNERS, _patch
 
 from mbraid import cli, identities
 from mbraid.catalog import build_rhat, deformation
@@ -162,19 +163,35 @@ def test_scan_rows_follow_the_closed_form(tmp_path, d, bindings, c):
 
 def test_scan_evaluates_the_defect_once(tmp_path, monkeypatch):
     calls = []
-    real = cli._defect_at
+    real = cli._basis_of
 
     def counting(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(cli, "_defect_at", counting)
+    monkeypatch.setattr(cli, "_basis_of", counting)
     run_scan("pq", _defaults("pq"), F(-3), F(5, 2), 101, str(tmp_path / "scan.csv"))
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("name, vectors", [("pq[1,2]+K^2", 4), ("gh[0,3]+K^2", 3)])
+def test_scan_matches_reference_on_a_multi_vector_basis(tmp_path, monkeypatch, name, vectors):
+    # a K^2 term that breaks the MBE spreads the defect over several basis
+    # vectors; the catalog's bases have one
+    mutant, d, _ = CORNERS[name]
+    _patch(monkeypatch, mutant)
+    spec = deformation(d)
+    for bindings in (_defaults(d), GOLDEN[d], _benchmark_binding(d, 4101)):
+        rhat = cli.build_rhat(spec).map(lambda e, b=bindings: substitute(e, b))
+        assert len(cli._basis_of(rhat, spec.id)[0]) == vectors, bindings
+        rows, _ = _same(tmp_path, d, bindings, F(-3), F(2), 101)
+        # B(K) still vanishes at K = 0, where Rhat = I
+        assert rows[60] == (0, 0.0) and rows[0][1] > 0, bindings
+
+
 def test_the_scan_kernel_is_the_only_defect_kernel():
-    assert not hasattr(identities, "_braid_defect")
+    for name in ("_braid_defect", "_defect_at", "_defect_coefficients"):
+        assert not hasattr(identities, name), name
 
 
 @pytest.mark.parametrize("shift, kmin", [(3, 0), (1, -3)])  # the second grid meets the pole
@@ -223,7 +240,7 @@ def _scan_f(d, bindings):
     """F(K), the sum of the squared defect entries, built as run_scan builds it."""
     spec = deformation(d)
     rhat = build_rhat(spec).map(lambda e: substitute(e, bindings))
-    defect = cli._defect_at(identities._split_defect(rhat, spec.id), ONE, sym("K"), ZERO)
+    defect = cli._defect_matrix(cli._basis_of(rhat, spec.id), ONE, sym("K"), ZERO)
     return sum((e * e for e in defect.data), ZERO)
 
 

@@ -26,7 +26,7 @@ from mbraid.catalog import (DEFORMATIONS, build_r, build_rhat, hecke_X,
                             projectors, verify_pass)
 from mbraid.checks import registered_checks
 from mbraid.cli import run_verify
-from mbraid.identities import _defect_basis, _defect_coefficients, mbe_factor
+from mbraid.identities import _defect_basis, mbe_factor
 from mbraid.ncalgebra import RewriteSystem, build_group_system
 from mbraid.plane import (MIXED, PlaneSystem, build_plane_system,
                           pure_sector_consistency)
@@ -101,7 +101,7 @@ def test_one_verify_pass_builds_each_family_once(monkeypatch):
         assert run_verify("all", stream=io.StringIO()) == 0
     finally:
         sys.setprofile(None)
-    # embed12: two K-powers per family in _defect_coefficients;
+    # embed12: two K-powers per family in the one _split_defect of _defect_basis;
     # projector constraints: three pure sectors (qh shared by two lines), two mixed;
     # matmul: one Hecke square per family, shared by hecke and projectors, and
     # no R-form triple product: mbe-r-form reads the mbe verdict, so
@@ -156,8 +156,7 @@ def _printed(obj) -> str:
 
 def _shared_objects() -> list:
     builders = [build_rhat, build_r, hecke_X, projectors, mbe_factor,
-                _defect_coefficients, _defect_basis, build_group_system,
-                pure_sector_consistency]
+                _defect_basis, build_group_system, pure_sector_consistency]
     out = [fn(d) for d in DEFORMATIONS for fn in builders]
     return out + [build_plane_system(d) for d in MIXED]
 

@@ -21,7 +21,7 @@ from mbraid.scalars import RatFunc, as_ratfunc
 # products, sums and differences; __rsub__ goes through __sub__
 COUNTED = ("__mul__", "__rmul__", "__add__", "__radd__", "__sub__")
 # a pass at the dense kernels reached 9,203; the zero skips left about 1,400,
-# and first writes taken directly, _poly_substitute's included, leave 50 under
+# and first writes taken directly, _poly_substitute's included, leave 44 under
 # every hash seed tried.  The bound has room for a few more, not for one more
 # accumulator that starts at ZERO (vanishes_at_sqrt's would reach 70)
 MAX_ZERO_OPERANDS = 60
@@ -45,12 +45,12 @@ def test_one_verify_pass_rarely_reaches_a_zero_operand(monkeypatch):
 
 
 def test_accumulators_take_their_first_write_directly(monkeypatch, tmp_path):
-    """A verify pass reaches every site but _defect_at, which only the
+    """A verify pass reaches every site but _defect_matrix, which only the
     residual builders and the scan call, so they run here too; each site must
     be reached, or its guard would check nothing."""
     sites = {f.__code__: f.__qualname__ for f in (
-        rtt._rows, rtt.rtt_residual, rtt._in_span, identities._defect_at,
-        identities._defect_basis.__wrapped__, identities._defect_vanishes,
+        rtt._rows, rtt.rtt_residual, rtt._in_span, identities._basis_of,
+        identities._defect_coords, identities._defect_matrix,
         identities._lam_divides, pmatrix._rref)}
     operated, reached = Counter(), Counter()
 
