@@ -456,9 +456,10 @@ def run_verify(scope: str = "all", json_out: bool = False, stream=None) -> int:
 
 def _rational(text: str) -> Fraction:
     import argparse
-    if "." in text:
+    # Fraction("1e999999999") builds 10**999999999 before any bound applies
+    if any(ch in text for ch in ".eE"):
         raise argparse.ArgumentTypeError(
-            f"{text!r}: decimal literals are not exact; write n/d")
+            f"{text!r}: decimal and exponent literals are refused; write n/d")
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:

@@ -8,18 +8,20 @@ right-hand side is already in normal form.
 
 Reduction is leftmost-innermost, deterministic and linear, so each system
 keeps a table of the leftmost normal forms of the single words it has
-rewritten; normal_order sums the input's coefficients times those forms and
-builds a missing form once, on an explicit stack.  A system's rules are
-read-only after construction (by_lhs is a mapping proxy), so a stored form
-never goes stale.  Termination and confluence rest on certificates:
-termination_order finds a weighted degree-lex order, with 0/1 weights on
-the letters, under which every rule descends, and critical_pairs resolves
-each overlap ab.bc of two left-hand sides.  By Bergman's diamond lemma
-(Adv. Math. 29, 1978) the two together prove confluence at every degree.
-The step cap bounds the number of words normal_order rewrites in one call,
-and a word met again while its own form is being built is a cycle, refused
-at once.  diamond_check, which reduces every word up to a fixed degree with
-two redexes, is kept as an oracle.
+rewritten.  normal_order is one pass, _sum_of_forms: it sums the input's
+coefficients times those forms, and a word missing from the table is
+rewritten once (_rewrite, the one-step rewrite every caller shares), its
+rewrite summed the same way on an explicit stack and its form stored once
+complete.  A system's rules are read-only after construction (by_lhs is a
+mapping proxy), so a stored form never goes stale.  Termination and
+confluence rest on certificates: termination_order finds a weighted
+degree-lex order, with 0/1 weights on the letters, under which every rule
+descends, and critical_pairs resolves each overlap ab.bc of two left-hand
+sides.  By Bergman's diamond lemma (Adv. Math. 29, 1978) the two together
+prove confluence at every degree.  The step cap bounds the number of words
+normal_order rewrites in one call, and a word met again while its own form
+is being built is a cycle, refused at once.  diamond_check, which reduces
+every word up to a fixed degree with two redexes, is kept as an oracle.
 """
 
 from __future__ import annotations
@@ -196,7 +198,8 @@ class RewriteSystem:
 
 def normal_order(p: NCPoly, system: RewriteSystem) -> NCPoly:
     """Fully reduce p, leftmost redex first: the sum of c * form(w) over its
-    terms c*w, each form read from system.forms or built there first.
+    terms c*w, each form read from system.forms or built and stored there
+    in the same pass (_sum_of_forms).
 
     Terms are visited last first, and words are kept in the order they are
     first reached, cancelled ones included until the final NCPoly, so the
@@ -204,82 +207,60 @@ def normal_order(p: NCPoly, system: RewriteSystem) -> NCPoly:
     StepCapExceeded when more than system.step_cap words are rewritten in
     one call, and at once on a cycle: a word met again while its own form is
     still being built."""
-    forms = system.forms
+    return NCPoly(_sum_of_forms(system, reversed(p.coeffs.items())))
+
+
+def _rewrite(word: Word, i: int, rule: RewriteRule) -> dict:
+    """One step: word rewritten by rule at position i, {word: coefficient}
+    in the order of rule.rhs."""
+    head, tail = word[:i], word[i + len(rule.lhs):]
+    return {head + rw + tail: rc for rw, rc in rule.rhs.coeffs.items()}
+
+
+def _sum_of_forms(system: RewriteSystem, terms) -> dict:
+    """The sum of coeff * form(word) over an iterator of (word, coeff) terms,
+    in one pass.
+
+    A word in system.forms adds its stored form, and a normal word adds
+    itself.  Any other word is rewritten once at its leftmost redex; the
+    parent's terms and partial sum go on an explicit stack, and the word's
+    own rewrite is summed the same way, last rhs term first.  Its sum is
+    then stored in system.forms and added into the parent, so a form is
+    stored only once it is complete.  Normal words are not stored."""
+    forms, cap, find = system.forms, system.step_cap, system.find_redex
     out: dict = {}
+    stack: list = []  # (parent's terms, parent's sum, word being built, its coeff)
+    building: set = set()
     steps = 0
-    for word, coeff in reversed(p.coeffs.items()):
-        form = forms.get(word)
-        if form is None:
-            hit = system.find_redex(word)
-            if hit is None:
-                s = out.get(word)
-                out[word] = coeff if s is None else s + coeff
+    while True:
+        term = next(terms, None)
+        if term is None:  # out is the whole sum, or the form on top of the stack
+            if not stack:
+                return out
+            terms, parent, word, coeff = stack.pop()
+            forms[word] = form = out
+            building.remove(word)
+            out = parent
+        else:
+            word, coeff = term
+            form = forms.get(word)
+            if form is None:
+                hit = find(word)
+                if hit is None:
+                    s = out.get(word)
+                    out[word] = coeff if s is None else s + coeff
+                    continue
+                steps += 1
+                if steps > cap or word in building:
+                    raise StepCapExceeded(f"{system.name}: more than {cap} rewrite steps")
+                building.add(word)
+                stack.append((terms, out, word, coeff))
+                terms, out = reversed(_rewrite(word, *hit).items()), {}
                 continue
-            steps = _build(system, word, hit, steps)
-            form = forms[word]
         for w, c in form.items():
             t = coeff * c
             s = out.get(w)
             out[w] = t if s is None else s + t
-    return NCPoly(out)
-
-
-def _build(system: RewriteSystem, word: Word, hit: tuple, steps: int) -> int:
-    """Store in system.forms the form of a reducible word, and first that of
-    every reducible word below it that the table lacks, depth first on an
-    explicit stack; returns the count of words rewritten in this call so far.
-
-    With (i, rule) the leftmost redex of w, form(w) is the sum of
-    rcoef * form(w[:i] + rword + w[i+2:]) over the terms of rule.rhs, last
-    term first, summed as normal_order sums.  A normal word is its own form
-    and is not stored."""
-    forms, cap, find = system.forms, system.step_cap, system.find_redex
-    building: set = set()
-    stack: list = []  # [word, its (kid, rcoef) terms, count of kids looked at]
-    while True:
-        if hit is not None:  # rewrite word once, at its leftmost redex
-            steps += 1
-            if steps > cap or word in building:
-                raise StepCapExceeded(f"{system.name}: more than {cap} rewrite steps")
-            building.add(word)
-            i, rule = hit
-            head, tail = word[:i], word[i + 2:]
-            kids = []
-            for rw, rc in reversed(rule.rhs.coeffs.items()):
-                kids.append((head + rw + tail, rc))
-            frame = [word, kids, 0]
-            stack.append(frame)
-        else:  # a kid's form is stored: go on with its parent
-            frame = stack[-1]
-            kids = frame[1]
-        pos = frame[2]
-        for kid, _ in kids[pos:]:
-            pos += 1
-            if kid not in forms:
-                hit = find(kid)
-                if hit is not None:
-                    frame[2] = pos
-                    word = kid
-                    break
-        else:  # every kid is normal or in the table
-            form: dict = {}
-            for kid, rc in kids:
-                sub = forms.get(kid)
-                if sub is None:
-                    s = form.get(kid)
-                    form[kid] = rc if s is None else s + rc
-                    continue
-                for w, c in sub.items():
-                    t = rc * c
-                    s = form.get(w)
-                    form[w] = t if s is None else s + t
-            stack.pop()
-            word = frame[0]
-            forms[word] = form
-            building.discard(word)
-            if not stack:
-                return steps
-            hit = None
 
 
 def diamond_check(system: RewriteSystem, max_degree: int) -> list:
@@ -293,11 +274,8 @@ def diamond_check(system: RewriteSystem, max_degree: int) -> list:
                        if (rule := system.by_lhs.get(word[i:i + 2])) is not None]
             if len(redexes) < 2:
                 continue
-            forms = []
-            for i, rule in redexes:
-                stepped = NCPoly({word[:i] + rw + word[i + 2:]: rc
-                                  for rw, rc in rule.rhs.coeffs.items()})
-                forms.append(normal_order(stepped, system))
+            forms = [normal_order(NCPoly(_rewrite(word, i, rule)), system)
+                     for i, rule in redexes]
             if any(f != forms[0] for f in forms[1:]):
                 violations.append(word)
     return violations
@@ -332,12 +310,12 @@ def critical_pairs(system: RewriteSystem) -> list:
     overlaps = sorted((ab + bc[1:] for ab in system.by_lhs for bc in system.by_lhs
                        if ab[1] == bc[0]), key=lambda w: [rank[l] for l in w])
     out = []
-    for a, b, c in overlaps:
-        left = NCPoly({rw + (c,): rc for rw, rc in system.by_lhs[a, b].rhs.coeffs.items()})
-        right = NCPoly({(a,) + rw: rc for rw, rc in system.by_lhs[b, c].rhs.coeffs.items()})
+    for word in overlaps:
+        left = NCPoly(_rewrite(word, 0, system.by_lhs[word[:2]]))
+        right = NCPoly(_rewrite(word, 1, system.by_lhs[word[1:]]))
         diff = normal_order(left, system) - normal_order(right, system)
         if not diff.is_zero():
-            out.append(((a, b, c), diff))
+            out.append((word, diff))
     return out
 
 

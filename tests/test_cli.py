@@ -190,8 +190,9 @@ def test_render_parse_round_trip():
 def test_rational_flag_parsing():
     assert _rational("2/3") == Fraction(2, 3)
     assert _rational("-7") == Fraction(-7)
-    with pytest.raises(argparse.ArgumentTypeError):
-        _rational("0.5")
+    for text in ("0.5", "1e3", "2E-2"):
+        with pytest.raises(argparse.ArgumentTypeError, match="write n/d"):
+            _rational(text)
     with pytest.raises(argparse.ArgumentTypeError):
         _rational("1/0")
 
