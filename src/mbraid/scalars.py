@@ -22,8 +22,16 @@ product, sum or difference combines the numerators only: a polynomial with
 int coefficients over 1 is already in weak normal form, so the result is
 wrapped without multiplying the denominators or renormalizing.  Negation
 never renormalizes, because negating the numerator keeps the content, the
-common monomial factor and the sign of the denominator.  A fast-path result
-has the same terms, in the same order, as normalization would give.
+common monomial factor and the sign of the denominator.  One-term values
+(monomial ratios such as K q/p, most of a verify pass) have a closed form:
+a product or quotient of two of them, when the polynomial path does not
+apply, is ``_mono_quotient``, which splits the exponent differences into a
+numerator and a denominator monomial, cancels the coefficients by one gcd
+with the sign moved to the numerator, and reuses the shared unit
+denominator or an operand with the same terms.  The inverse of a value with a one-term numerator swaps the
+pair and fixes that one sign, and ``as_ratfunc`` writes an int or Fraction
+n/d directly.  A fast-path result has the same terms, in the same order,
+as normalization would give.
 Sums and differences share one rule, ``RatFunc._combine``, which takes the
 numerator operation (``Poly.__add__`` or ``Poly.__sub__``) as an argument.
 The polynomial kernels skip known work too: ``Poly.__mul__`` returns the
@@ -36,10 +44,13 @@ searching for its graded-lex leading term.  Each gives the same terms in
 the same order as the long way round.
 
 A monomial is a six-field tuple, one exponent per entry of SYMBOLS.
-``Poly.__mul__`` unpacks both monomials of a term product into their six
-fields and builds the sum as a tuple literal, which is about twice as fast
-as ``tuple(map(add, m1, m2))``; a change of the alphabet has to change that
-unpack too (``tests/test_scalar_kernel.py`` pins ``len(SYMBOLS) == 6``).
+``Poly.__mul__``, ``_normalized`` and ``_mono_quotient`` unpack monomials
+into their six fields and build the result as a tuple literal: a product
+adds fields, which is about twice as fast as ``tuple(map(add, m1, m2))``;
+the common monomial factor is a running minimum per field that stops once
+every field is 0; a monomial ratio takes field differences.  A change of
+the alphabet has to change those unpacks too
+(``tests/test_scalar_kernel.py`` pins ``len(SYMBOLS) == 6``).
 
 Multivariate gcd cancellation is deliberately not attempted, so two equal
 values may have different representations; equality always goes through
@@ -53,8 +64,8 @@ u^2 - rho, which is exact when rho is free of u and not a square.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
-from operator import sub
 from typing import Mapping, Union
 
 SYMBOLS = ("K", "p", "q", "g", "h", "u")
@@ -164,11 +175,6 @@ class Poly:
         """Total degree, or -1 for the zero polynomial."""
         return max((sum(mono) for mono in self.terms), default=-1)
 
-    def leading(self) -> tuple:
-        """(monomial, coefficient) at the graded-lex maximum."""
-        mono = max(self.terms, key=_grlex)
-        return mono, self.terms[mono]
-
     def symbols(self) -> set:
         out = set()
         for mono in self.terms:
@@ -245,10 +251,23 @@ def _normalized(num: Poly, den: Poly):
     if not nt:
         return _POLY_ZERO, _POLY_ONE
     if _MONO_ONE not in dt and _MONO_ONE not in nt:
-        shift = tuple(map(min, *nt, *dt))
-        if any(shift):
-            nt = {tuple(map(sub, m, shift)): c for m, c in nt.items()}
-            dt = {tuple(map(sub, m, shift)): c for m, c in dt.items()}
+        # the common monomial factor: a running minimum per field, which
+        # stops once every field is 0 (see the module docstring)
+        mk, mp, mq, mg, mh, mu = next(iter(dt))
+        for k, p, q, g, h, u in chain(nt, dt):
+            mk = k if k < mk else mk
+            mp = p if p < mp else mp
+            mq = q if q < mq else mq
+            mg = g if g < mg else mg
+            mh = h if h < mh else mh
+            mu = u if u < mu else mu
+            if not (mk or mp or mq or mg or mh or mu):
+                break
+        else:
+            nt = {(k - mk, p - mp, q - mq, g - mg, h - mh, u - mu): c
+                  for (k, p, q, g, h, u), c in nt.items()}
+            dt = {(k - mk, p - mp, q - mq, g - mg, h - mh, u - mu): c
+                  for (k, p, q, g, h, u), c in dt.items()}
             num, den = Poly(nt), Poly(dt)
     try:
         content = gcd(*nt.values(), *dt.values())
@@ -259,13 +278,43 @@ def _normalized(num: Poly, den: Poly):
         dt = {m: int(c * mult) for m, c in dt.items()}
         num, den = Poly(nt), Poly(dt)
         content = gcd(*nt.values(), *dt.values())
-    lead = next(iter(dt.values())) if len(dt) == 1 else den.leading()[1]
+    # the graded-lex leading term: the largest (degree, monomial) pair
+    lead = next(iter(dt.values())) if len(dt) == 1 else dt[max(zip(map(sum, dt), dt))[1]]
     if lead < 0:
         content = -content
     if content == 1:
         return num, den
     return (Poly({m: c // content for m, c in nt.items()}),
             Poly({m: c // content for m, c in dt.items()}))
+
+
+def _mono_quotient(n1: Poly, d1: Poly, n2: Poly, d2: Poly) -> "RatFunc":
+    """n1 n2 / (d1 d2) for one-term Polys with int coefficients, formed field
+    by field: the same terms as ``RatFunc(n1 * n2, d1 * d2)`` without
+    multiplying Polys or calling _normalized."""
+    [((k1, p1, q1, g1, h1, u1), a1)] = n1.terms.items()
+    [((k2, p2, q2, g2, h2, u2), a2)] = n2.terms.items()
+    [((k3, p3, q3, g3, h3, u3), b3)] = d1.terms.items()
+    [((k4, p4, q4, g4, h4, u4), b4)] = d2.terms.items()
+    # exponent differences: the positive part goes up, the negative part down
+    k, p, q = k1 + k2 - k3 - k4, p1 + p2 - p3 - p4, q1 + q2 - q3 - q4
+    g, h, u = g1 + g2 - g3 - g4, h1 + h2 - h3 - h4, u1 + u2 - u3 - u4
+    a, b = a1 * a2, b3 * b4
+    content = gcd(a, b)
+    if b < 0:
+        content = -content
+    if content != 1:
+        a, b = a // content, b // content
+    nt = {(k if k > 0 else 0, p if p > 0 else 0, q if q > 0 else 0,
+           g if g > 0 else 0, h if h > 0 else 0, u if u > 0 else 0): a}
+    dt = {(-k if k < 0 else 0, -p if p < 0 else 0, -q if q < 0 else 0,
+           -g if g < 0 else 0, -h if h < 0 else 0, -u if u < 0 else 0): b}
+    # share an equal operand, as Poly.__mul__ shares one times the unit, so
+    # that stored forms do not each hold a fresh dict
+    return RatFunc._normal(
+        n1 if nt == n1.terms else n2 if nt == n2.terms else Poly(nt),
+        _POLY_ONE if dt == _UNIT_TERMS else d1 if dt == d1.terms
+        else d2 if dt == d2.terms else Poly(dt))
 
 
 class RatFunc:
@@ -349,6 +398,8 @@ class RatFunc:
             return self
         if self.den.terms == _UNIT_TERMS and o.den.terms == _UNIT_TERMS:
             return RatFunc._normal(self.num * o.num)
+        if len(self.num.terms) == len(self.den.terms) == len(o.num.terms) == len(o.den.terms) == 1:
+            return _mono_quotient(self.num, self.den, o.num, o.den)
         return RatFunc(self.num * o.num, self.den * o.den)
 
     __rmul__ = __mul__
@@ -359,6 +410,8 @@ class RatFunc:
             return NotImplemented
         if o.num.is_zero():
             raise DivisionByZero("division by zero value")
+        if len(self.num.terms) == len(self.den.terms) == len(o.num.terms) == len(o.den.terms) == 1:
+            return _mono_quotient(self.num, self.den, o.den, o.num)
         return RatFunc(self.num * o.den, self.den * o.num)
 
     def __rtruediv__(self, other):
@@ -370,7 +423,14 @@ class RatFunc:
     def inverse(self) -> "RatFunc":
         if self.is_zero():
             raise DivisionByZero("inverse of zero")
-        return RatFunc(self.den, self.num)
+        num, den = self.num, self.den
+        if len(num.terms) > 1:
+            return RatFunc(den, num)
+        # a normal pair swapped keeps content 1 and no common monomial
+        # factor, so only the sign of the one-term denominator can be wrong
+        if next(iter(num.terms.values())) < 0:
+            num, den = -num, -den
+        return RatFunc._normal(den, num)
 
     def __pow__(self, n: int) -> "RatFunc":
         if n < 0:
@@ -400,12 +460,19 @@ class RatFunc:
 
 
 def as_ratfunc(x):
-    """Coerce an int or Fraction to RatFunc; pass RatFunc through; else None."""
+    """Coerce an int or Fraction to RatFunc; pass RatFunc through; else None.
+    A constant n/d in lowest terms, d > 0, is already normal, so it is built
+    directly; a bool becomes the int 0 or 1."""
     if isinstance(x, RatFunc):
         return x
-    if isinstance(x, (int, Fraction)):
-        return RatFunc(Poly.const(x))
-    return None
+    if isinstance(x, int):
+        n, d = int(x), 1
+    elif isinstance(x, Fraction):
+        n, d = x.numerator, x.denominator
+    else:
+        return None
+    return RatFunc._normal(Poly({_MONO_ONE: n}) if n else _POLY_ZERO,
+                           _POLY_ONE if d == 1 else Poly({_MONO_ONE: d}))
 
 
 _SYM_CACHE: dict = {}
@@ -453,7 +520,8 @@ def _poly_substitute(p: Poly, vals: Mapping[str, RatFunc]) -> RatFunc:
                 residual[i] = 0
                 pw = vals[SYMBOLS[i]] ** e
                 factor = pw if factor is None else factor * pw
-        term = RatFunc(Poly({tuple(residual): c}))
+        # a one-term polynomial with an int coefficient is already normal
+        term = RatFunc._normal(Poly({tuple(residual): c}))
         if factor is not None:
             term = term * factor
         total = term if total is None else total + term

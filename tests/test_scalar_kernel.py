@@ -8,7 +8,8 @@ from fractions import Fraction
 import pytest
 import ref_scalars as ref
 
-from mbraid import scalars
+from mbraid import ncalgebra, scalars
+from mbraid.cli import parse_expression
 from mbraid.scalars import (_POLY_ONE, _POLY_ZERO, ONE, SYMBOLS, DivisionByZero,
                             Poly, RatFunc, _normalized)
 
@@ -218,10 +219,40 @@ def test_polynomial_fast_path_skips_normalization(monkeypatch):
     assert len(calls) == 2
 
 
+def test_monomial_ratios_skip_normalization(monkeypatch):
+    calls = []
+
+    def counting(num, den):
+        calls.append(1)
+        return _normalized(num, den)
+
+    monkeypatch.setattr(scalars, "_normalized", counting)
+    k, p, q = scalars.sym("K"), scalars.sym("p"), scalars.sym("q")
+    x, y = k / p, -2 * k * q / (3 * p * p)
+    calls.clear()
+    _ = (x * y, y * x, x / y, y / x, x.inverse(), y.inverse(), y ** -2)
+    # a unit denominator is the shared one, not a fresh dict per value
+    assert (x * (3 * p / k)).den is _POLY_ONE
+    assert (y * (-3 * p * p / (2 * k * q))).den is _POLY_ONE
+    assert (y / (-2 * k * q / p ** 2)).den.terms == {(0,) * NVARS: 3}
+    # an operand equal to the result's numerator or denominator is shared
+    w = q / p
+    assert (x * (ONE / q)).num is x.num and (x / w).den is w.num
+    assert calls == []
+    # a term of the group-pq forms carries 1/q; 7 normalizations before the
+    # monomial ratios took their closed form
+    system = ncalgebra.build_group_system("pq")
+    expr = parse_expression("-6*q*d*b*d*a*d")
+    calls.clear()
+    ncalgebra.normal_order(expr, system)
+    assert len(calls) <= 4
+
+
 def test_the_alphabet_has_the_six_fields_poly_mul_unpacks():
     assert len(SYMBOLS) == 6, (
-        "Poly.__mul__ unpacks each monomial into exactly six fields, "
-        "(k, p, q, g, h, u); change that unpack together with SYMBOLS")
+        "Poly.__mul__, _normalized and _mono_quotient unpack each monomial into "
+        "exactly six fields, (k, p, q, g, h, u); change those unpacks together "
+        "with SYMBOLS")
 
 
 @pytest.mark.parametrize("seed", [5, 6])
@@ -383,3 +414,72 @@ def test_identical_differences_match_fraction_reference(seed):
                           (x - (x + y - y), rx - (rx + ry - ry))):
             _assert_same(got, want)
             assert got is not scalars.ZERO
+
+
+def _one_term_pair(rng):
+    """A one-term numerator over a one-term denominator, as (library
+    RatFunc, reference RatFunc): negative and Fraction coefficients, a
+    planted common monomial factor and a unit denominator are all likely."""
+    def one_term():
+        mono = tuple(rng.choice((0, 0, 0, 1, 2)) for _ in range(NVARS))
+        c = Fraction(rng.choice((1, 2, 3, 4, 6, 9)), rng.choice((1, 1, 1, 2, 3)))
+        return mono, c * rng.choice((1, -1))
+
+    (nm, nc), (dm, dc) = one_term(), one_term()
+    kind = rng.randrange(4)
+    if kind == 0:
+        dm, dc = (0,) * NVARS, Fraction(1)
+    elif kind == 1:
+        # a common monomial factor and a common content to cancel
+        shift = tuple(rng.randint(0, 2) for _ in range(NVARS))
+        nm, dm = tuple(map(operator.add, nm, shift)), tuple(map(operator.add, dm, shift))
+        nc, dc = nc * 6, dc * 4
+    elif kind == 2:
+        dc = -abs(dc)
+
+    def lib(c):
+        return c.numerator if c.denominator == 1 and rng.random() < 0.5 else c
+
+    return (RatFunc(Poly({nm: lib(nc)}), Poly({dm: lib(dc)})),
+            ref.RatFunc(ref.Poly({nm: nc}), ref.Poly({dm: dc})))
+
+
+@pytest.mark.parametrize("seed", [12, 13])
+def test_one_term_values_match_fraction_reference(seed):
+    rng = random.Random(seed)
+    pool = [_one_term_pair(rng) for _ in range(80)]
+    mono_one = (0,) * NVARS
+    # division by a negative monomial, and by a negative constant
+    for mono, c in (((0, 1, 0, 0, 0, 0), -1), ((1, 0, 2, 0, 0, 0), -3), (mono_one, -2)):
+        pool.append((RatFunc(Poly({mono: c})),
+                     ref.RatFunc(ref.Poly({mono: Fraction(c)}))))
+    for lib, want in pool:
+        _assert_same(lib, want)
+    for _ in range(OPERATIONS):
+        (x, rx), (y, ry) = rng.choice(pool), rng.choice(pool)
+        kind = rng.randrange(4)
+        if kind == 0:
+            got, want = x * y, rx * ry
+        elif kind == 1:
+            got, want = x / y, rx / ry
+        elif kind == 2:
+            got, want = x.inverse(), rx.inverse()
+        else:
+            n = rng.choice((-3, -2, -1, 2, 3))
+            got, want = x ** n, rx ** n
+        _assert_same(got, want)
+        if max(map(sum, (*got.num.terms, *got.den.terms))) <= 8:
+            pool.append((got, want))
+
+
+def test_as_ratfunc_builds_the_normal_form_of_a_constant():
+    for x in (True, False, 0, 1, -3, 12, Fraction(-4, 6), Fraction(0), Fraction(5),
+              Fraction(7, 3)):
+        got, want = scalars.as_ratfunc(x), RatFunc(Poly.const(x))
+        assert _terms_list(got.num, got.den) == _terms_list(want.num, want.den), x
+        for c in (*got.num.terms.values(), *got.den.terms.values()):
+            assert type(c) is int, (x, c)
+    assert list(scalars.as_ratfunc(True).num.terms.values()) == [1]
+    assert scalars.as_ratfunc(-3).den is _POLY_ONE
+    assert scalars.as_ratfunc(Fraction(0)).num is _POLY_ZERO
+    assert scalars.as_ratfunc("1") is None and scalars.as_ratfunc(1.5) is None
