@@ -239,8 +239,8 @@ def test_monomial_ratios_skip_normalization(monkeypatch):
     w = q / p
     assert (x * (ONE / q)).num is x.num and (x / w).den is w.num
     assert calls == []
-    # a term of the group-pq forms carries 1/q; 7 normalizations before the
-    # monomial ratios took their closed form
+    # the group-pq forms carry 1/q, so building them multiplies monomial
+    # ratios; the general path normalizes 7 times here
     system = ncalgebra.build_group_system("pq")
     expr = parse_expression("-6*q*d*b*d*a*d")
     calls.clear()
